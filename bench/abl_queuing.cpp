@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "experiments/scenario.hpp"
+#include "util/names.hpp"
 #include "util/table.hpp"
 
 using namespace sharegrid;
@@ -32,7 +33,7 @@ ScenarioConfig sweep_config(nodes::L7Redirector::Mode mode,
   c.redirector_count = 1;
   c.servers = {{"S", 320.0}};
   for (std::size_t i = 0; i < client_count; ++i)
-    c.clients.push_back({"C" + std::to_string(i), "A", 0, 135.0,
+    c.clients.push_back({util::numbered("C", i), "A", 0, 135.0,
                          {{0.0, 30.0}}});
   c.phases = {{"steady", 5.0, 29.0}};
   c.duration_sec = 30.0;

@@ -17,6 +17,7 @@
 #include "core/flow.hpp"
 #include "l4/packet.hpp"
 #include "util/flat_map.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 using namespace sharegrid;
@@ -27,7 +28,7 @@ core::AgreementGraph make_random_graph(std::size_t n, double density,
                                        Rng& rng) {
   core::AgreementGraph g;
   for (std::size_t i = 0; i < n; ++i)
-    g.add_principal("P" + std::to_string(i), rng.uniform(10.0, 1000.0));
+    g.add_principal(util::numbered("P", i), rng.uniform(10.0, 1000.0));
   for (core::PrincipalId i = 0; i < n; ++i) {
     double budget = 1.0;
     for (core::PrincipalId j = 0; j < n; ++j) {

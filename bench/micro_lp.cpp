@@ -14,6 +14,7 @@
 #include "sched/income_scheduler.hpp"
 #include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 #include "util/worker_pool.hpp"
 
@@ -27,7 +28,7 @@ core::AgreementGraph make_provider_graph(std::size_t n, Rng& rng) {
   g.add_principal("S", 1000.0);
   double budget = 1.0;
   for (std::size_t i = 1; i < n; ++i) {
-    g.add_principal("P" + std::to_string(i), 0.0);
+    g.add_principal(util::numbered("P", i), 0.0);
     const double lb = rng.uniform(0.0, budget * 0.5);
     g.set_agreement(0, i, lb, rng.uniform(lb, 1.0));
     budget -= lb;
@@ -194,9 +195,9 @@ void multi_provider_bench(benchmark::State& state,
   core::AgreementGraph g;
   std::vector<core::PrincipalId> providers;
   for (std::size_t s = 0; s < p; ++s)
-    providers.push_back(g.add_principal("S" + std::to_string(s), 1000.0));
+    providers.push_back(g.add_principal(util::numbered("S", s), 1000.0));
   for (std::size_t i = 0; i < kCustomers; ++i) {
-    const auto c = g.add_principal("C" + std::to_string(i), 0.0);
+    const auto c = g.add_principal(util::numbered("C", i), 0.0);
     for (std::size_t s = 0; s < p; ++s) {
       const double lb = rng.uniform(0.0, 0.4 / static_cast<double>(kCustomers));
       g.set_agreement(providers[s], c, lb, rng.uniform(lb, 0.8));

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "experiments/scenario.hpp"
+#include "util/names.hpp"
 #include "util/table.hpp"
 
 using namespace sharegrid;
@@ -30,13 +31,13 @@ ScenarioConfig fleet_config(std::size_t redirectors) {
   if (redirectors > 4) c.tree_fanout = 2;
   c.servers = {{"A", 320.0}, {"B", 320.0}};
   // 4 client machines for A, 2 for B, spread round-robin over the fleet.
-  for (int k = 0; k < 4; ++k)
-    c.clients.push_back({"A" + std::to_string(k), "A",
-                         static_cast<std::size_t>(k) % redirectors, 200.0,
+  for (std::size_t k = 0; k < 4; ++k)
+    c.clients.push_back({util::numbered("A", k), "A",
+                         k % redirectors, 200.0,
                          {{0.0, 60.0}}});
-  for (int k = 0; k < 2; ++k)
-    c.clients.push_back({"B" + std::to_string(k), "B",
-                         static_cast<std::size_t>(k) % redirectors, 200.0,
+  for (std::size_t k = 0; k < 2; ++k)
+    c.clients.push_back({util::numbered("B", k), "B",
+                         k % redirectors, 200.0,
                          {{0.0, 60.0}}});
   c.phases = {{"steady", 10.0, 58.0}};
   c.duration_sec = 60.0;

@@ -31,7 +31,7 @@ void backend_loop(net::Socket* listener, std::atomic<bool>* running) {
       if (!running->load()) break;
       conn.read_http_head();
       http::Response ok;
-      ok.headers["content-length"] = "0";
+      ok.headers["content-length"] = std::string("0");
       conn.write_all(ok.serialize());
     } catch (const ContractViolation&) {
       // ignore per-connection errors

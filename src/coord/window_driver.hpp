@@ -44,7 +44,7 @@ class SimWindowDriver {
 };
 
 /// Live driver: rolls wall-clock windows on poll(). Not internally
-/// synchronized — the admission facade above it holds the mutex.
+/// synchronized — each live service polls it from its one loop thread.
 class WallClockDriver {
  public:
   struct Options {

@@ -167,7 +167,9 @@ FigureExperiment figure10() {
   c.graph = provider_graph(0.8, 1.0, 0.2, 1.0);
   c.layer = Layer::kL4;
   c.scheduler = SchedulerKind::kIncome;
-  c.provider = "S";
+  // Built as a std::string first: GCC 12 at -O3 misreports assigning the
+  // literal in place as an overlapping memcpy (-Wrestrict).
+  c.provider = std::string("S");
   c.prices = {0.0, 2.0, 1.0};  // S, A, B — A pays more per extra request
   c.redirector_count = 1;
   c.servers = {{"S", 320.0}, {"S", 320.0}};

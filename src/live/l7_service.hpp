@@ -2,33 +2,37 @@
 //
 // Runs the same admission logic as the simulated L7 redirector — window
 // scheduler, credit-based quotas, 302 redirects — against real HTTP over
-// loopback TCP, with wall-clock scheduling windows. One acceptor thread
-// serves connections sequentially (the service demonstrates correctness of
-// the enforcement stack outside the simulator; it is not tuned for
-// concurrency).
+// loopback TCP, with wall-clock scheduling windows. One EventLoop thread
+// (live/event_loop.hpp) accepts every connection and assembles each request
+// head without blocking, so a slow client delays nobody else.
 //
 // Per request:
-//   - parse the request head; malformed -> 400;
+//   - read the head up to its blank line (at most 64 KiB; a peer close or
+//     the idle timeout ends it early);
+//   - parse it; malformed -> 400;
 //   - /org/<principal>/... resolves the principal; unknown -> 404;
 //   - within quota -> 302 Location: http://<backend>/<target>;
 //   - out of quota -> 302 back to this service (implicit queuing: the
-//     client is expected to retry, exactly like the paper's WebBench proxy).
+//     client is expected to retry, exactly like the paper's WebBench proxy);
+//   - write the reply and close.
+// A request whose admission throws (a failed plan solve) is closed with no
+// reply; the service keeps serving the others.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/agreement_graph.hpp"
+#include "live/event_loop.hpp"
 #include "live/wall_clock_admission.hpp"
-#include "net/tcp.hpp"
 
 namespace sharegrid::live {
 
 /// Wall-clock Layer-7 redirector over loopback TCP.
-class L7Service {
+class L7Service : private EventLoop::Handler {
  public:
   /// A backend server a principal's requests can be redirected to.
   struct Backend {
@@ -51,10 +55,11 @@ class L7Service {
   L7Service(const L7Service&) = delete;
   L7Service& operator=(const L7Service&) = delete;
 
-  /// Binds an ephemeral loopback port and starts the acceptor thread.
+  /// Binds an ephemeral loopback port and starts the loop.
   void start();
 
-  /// Stops accepting and joins the thread. Idempotent.
+  /// Stops the loop and closes the listener and every open connection.
+  /// Idempotent.
   void stop();
 
   /// Listening port (valid after start()).
@@ -65,22 +70,32 @@ class L7Service {
   std::uint64_t bad_requests() const { return bad_requests_; }
 
  private:
-  void accept_loop();
-  void serve(net::Socket connection);
+  class Connection;
 
-  const sched::Scheduler* scheduler_;
+  /// Readiness on the listener: accepts every pending connection.
+  void on_ready(int fd, std::uint32_t events) override;
+  void on_failure() override;
+  /// Decides one request head, counts the outcome and returns the
+  /// serialized reply.
+  std::string respond(const std::string& head);
+  /// Unwatches and closes the connection on @p fd.
+  void close_connection(int fd);
+
   core::AgreementGraph graph_;
   Config config_;
   WallClockAdmission admission_;
 
-  net::Socket listener_;
-  std::thread acceptor_;
-  std::atomic<bool> running_{false};
+  Fd listener_;
   std::uint16_t port_ = 0;
+  std::string self_host_;  ///< "127.0.0.1:<port>", the self-redirect host
+  /// Open connections indexed by fd; touched by the loop thread only.
+  std::vector<std::unique_ptr<Connection>> connections_;
+  bool running_ = false;
 
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> self_redirected_{0};
   std::atomic<std::uint64_t> bad_requests_{0};
+  EventLoop loop_;  ///< last: its thread uses every member above
 };
 
 }  // namespace sharegrid::live

@@ -505,26 +505,22 @@ TEST(ControlPlaneAudit, SliceSumConservationAcrossTheFleet) {
 }
 
 // ---------------------------------------------------------------------------
-// The live facade: multiple redirectors in one process share one plane and
-// exchange snapshots in-process.
+// The live facade: one member on its own plane, windows rolled by the wall
+// clock and snapshots exchanged in-process.
 // ---------------------------------------------------------------------------
 
-TEST(WallClockAdmission, MultiMemberFacadeSharesOnePlane) {
+TEST(WallClockAdmission, FacadeRollsWindowsAndExchangesSnapshots) {
   const test::FixedRateScheduler scheduler({1000.0});
-  live::WallClockAdmission::Config config;
-  config.window_usec = 100000;
-  config.redirector_count = 2;
-  live::WallClockAdmission admission(&scheduler, config);
-  EXPECT_EQ(admission.member_count(), 2u);
+  live::WallClockAdmission admission(&scheduler, /*window_usec=*/100000);
+  admission.reset_clock();
 
-  const auto first = admission.try_admit(/*member_index=*/0, /*principal=*/0);
+  const auto first = admission.try_admit(/*principal=*/0);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, 0u);
-  EXPECT_TRUE(admission.try_admit(/*member_index=*/1, /*principal=*/0)
-                  .has_value());
+  EXPECT_TRUE(admission.try_admit(/*principal=*/0).has_value());
   EXPECT_GE(admission.windows_begun(), 1u);
   EXPECT_GE(admission.snapshot_rounds(), 1u);
-  EXPECT_EQ(admission.plane().member_count(), 2u);
+  EXPECT_EQ(admission.plane().member_count(), 1u);
 }
 
 }  // namespace

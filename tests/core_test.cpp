@@ -9,6 +9,7 @@
 #include "core/flow.hpp"
 #include "core/ticket.hpp"
 #include "util/assert.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid::core {
@@ -264,7 +265,7 @@ TEST_P(FlowPropertyTest, ConservationAndBounds) {
   const std::size_t n = 2 + rng.bounded(5);  // 2..6 principals
   AgreementGraph g;
   for (std::size_t i = 0; i < n; ++i)
-    g.add_principal("P" + std::to_string(i), rng.uniform(10.0, 1000.0));
+    g.add_principal(util::numbered("P", i), rng.uniform(10.0, 1000.0));
   // Random DAG: edges only i -> j with i < j, respecting the lb budget.
   for (PrincipalId i = 0; i < n; ++i) {
     double budget = 1.0;

@@ -10,6 +10,7 @@
 #include "core/ticket.hpp"
 #include "experiments/paper_figures.hpp"
 #include "experiments/scenario.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid {
@@ -79,8 +80,8 @@ TEST_P(TicketRoundTripTest, LedgerAgreementEquivalence) {
   std::vector<core::Principal> principals;
   for (std::size_t i = 0; i < n; ++i) {
     const double cap = rng.uniform(0.0, 500.0);
-    g.add_principal("P" + std::to_string(i), cap);
-    principals.push_back({"P" + std::to_string(i), cap});
+    g.add_principal(util::numbered("P", i), cap);
+    principals.push_back({util::numbered("P", i), cap});
   }
   for (core::PrincipalId i = 0; i < n; ++i) {
     double budget = 1.0;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "live/l4_proxy.hpp"
 #include "net/tcp.hpp"
@@ -12,10 +16,12 @@
 namespace sharegrid::live {
 namespace {
 
-/// Echo backend: prefixes every received blob with "echo:".
+/// Echo backend: prefixes every received blob with @p prefix.
 class EchoBackend {
  public:
-  EchoBackend() : listener_(net::Socket::listen_on_loopback()) {
+  explicit EchoBackend(std::string prefix = "echo:")
+      : listener_(net::Socket::listen_on_loopback()),
+        prefix_(std::move(prefix)) {
     thread_ = std::thread([this] { loop(); });
   }
   ~EchoBackend() {
@@ -37,7 +43,7 @@ class EchoBackend {
         while (true) {
           const std::string got = conn.read_some().data;
           if (got.empty()) break;
-          conn.write_all("echo:" + got);
+          conn.write_all(prefix_ + got);
         }
       } catch (const ContractViolation&) {
       }
@@ -45,9 +51,33 @@ class EchoBackend {
   }
 
   net::Socket listener_;
+  std::string prefix_;
   std::atomic<bool> running_{true};
   std::thread thread_;
 };
+
+/// Threads of this process, as the kernel lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Polls @p done every millisecond for up to two seconds.
+template <class Predicate>
+bool eventually(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 TEST(L4Proxy, RelaysBytesBothWaysUnparsed) {
   EchoBackend backend;
@@ -117,6 +147,148 @@ TEST(L4Proxy, MultipleServicesMapPortsToPrincipals) {
 
   ok.close();
   denied.close();
+  proxy.stop();
+  EXPECT_EQ(proxy.admitted(), 1u);
+  EXPECT_EQ(proxy.refused(), 1u);
+}
+
+TEST(L4Proxy, RelaysLargePayloadIntactBothWays) {
+  // 4 MiB each way is far more than the socket buffers hold, so the relay
+  // must park bytes in its pending buffers and finish on EPOLLOUT.
+  EchoBackend backend("");
+  test::FixedRateScheduler scheduler({1000.0});
+  L4Proxy::Config config;
+  config.services = {{0, backend.port(), 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+
+  std::string payload(4 << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>((i * 131 + i / 4096) & 0xff);
+  net::Socket client = net::Socket::connect_loopback(proxy.service_port(0));
+  std::thread writer([&] { client.write_all(payload); });
+  std::string echoed;
+  while (echoed.size() < payload.size()) {
+    const net::ReadResult got = client.read_some();
+    if (got.status != net::ReadStatus::kData) break;
+    echoed += got.data;
+  }
+  writer.join();
+  EXPECT_EQ(echoed.size(), payload.size());
+  EXPECT_TRUE(echoed == payload);
+
+  client.close();
+  proxy.stop();
+  EXPECT_EQ(proxy.admitted(), 1u);
+}
+
+TEST(L4Proxy, ConcurrentRelaysAddNoThreads) {
+  // The backend never accepts: the kernel completes each handshake into
+  // the listen backlog, so a relay stays open with no backend thread.
+  const net::Socket backend = net::Socket::listen_on_loopback(0, 128);
+  test::FixedRateScheduler scheduler({100000.0});
+  L4Proxy::Config config;
+  config.services = {{0, backend.local_port(), 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+  const std::size_t threads_after_start = thread_count();
+
+  // Quotas follow the demand estimate, so early connections may be
+  // refused; dial one at a time and keep the admitted ones open.
+  std::vector<net::Socket> relays;
+  for (int attempt = 0; attempt < 2000 && relays.size() < 64; ++attempt) {
+    const std::uint64_t decided = proxy.admitted() + proxy.refused();
+    const std::uint64_t admitted = proxy.admitted();
+    net::Socket client = net::Socket::connect_loopback(proxy.service_port(0));
+    ASSERT_TRUE(eventually(
+        [&] { return proxy.admitted() + proxy.refused() > decided; }));
+    if (proxy.admitted() > admitted) {
+      client.write_all("held");
+      relays.push_back(std::move(client));
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ASSERT_EQ(relays.size(), 64u);
+  EXPECT_EQ(thread_count(), threads_after_start);
+  proxy.stop();
+}
+
+TEST(L4Proxy, StopClosesIdleRelaysPromptly) {
+  EchoBackend backend;
+  test::FixedRateScheduler scheduler({1000.0});
+  L4Proxy::Config config;
+  config.services = {{0, backend.port(), 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+
+  net::Socket client = net::Socket::connect_loopback(proxy.service_port(0));
+  client.write_all("a");
+  ASSERT_EQ(client.read_some().data, "echo:a");
+
+  // The relay is admitted and idle; stop() must not wait for it.
+  const auto begin = std::chrono::steady_clock::now();
+  proxy.stop();
+  const auto took = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+  EXPECT_EQ(client.read_some().status, net::ReadStatus::kClosed);
+}
+
+TEST(L4Proxy, BackendDialFailureCountsAsRefused) {
+  std::uint16_t closed_port = 0;
+  {
+    const net::Socket gone = net::Socket::listen_on_loopback();
+    closed_port = gone.local_port();
+  }  // nothing listens there any more
+  test::FixedRateScheduler scheduler({1000.0});
+  L4Proxy::Config config;
+  config.services = {{0, closed_port, 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+
+  net::Socket client = net::Socket::connect_loopback(proxy.service_port(0));
+  EXPECT_NE(client.read_some().status, net::ReadStatus::kData);
+  EXPECT_TRUE(eventually([&] { return proxy.refused() == 1; }));
+  EXPECT_EQ(proxy.admitted(), 0u);
+  proxy.stop();
+}
+
+TEST(L4Proxy, HalfClosedClientStillReadsTheReply) {
+  EchoBackend backend;
+  test::FixedRateScheduler scheduler({1000.0});
+  L4Proxy::Config config;
+  config.services = {{0, backend.port(), 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+
+  // The client shuts down its sending side right after the request. The
+  // proxy passes that FIN on; the backend answers, then closes, and both
+  // the reply and the close come back through the proxy.
+  EXPECT_EQ(test::send_then_half_close(proxy.service_port(0), "ping"),
+            "echo:ping");
+  proxy.stop();
+  EXPECT_EQ(proxy.admitted(), 1u);
+  EXPECT_EQ(proxy.refused(), 0u);
+}
+
+TEST(L4Proxy, AThrowingPlanCostsOneConnectionOnly) {
+  EchoBackend backend;
+  test::ThrowOnceScheduler scheduler({1000.0});
+  L4Proxy::Config config;
+  config.services = {{0, backend.port(), 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+
+  // Admitting the first connection solves the first plan, which throws:
+  // that connection is closed unrelayed and the proxy keeps serving.
+  net::Socket first = net::Socket::connect_loopback(proxy.service_port(0));
+  EXPECT_NE(first.read_some().status, net::ReadStatus::kData);
+  EXPECT_TRUE(eventually([&] { return proxy.refused() == 1; }));
+
+  net::Socket second = net::Socket::connect_loopback(proxy.service_port(0));
+  second.write_all("b");
+  EXPECT_EQ(second.read_some().data, "echo:b");
+  second.close();
   proxy.stop();
   EXPECT_EQ(proxy.admitted(), 1u);
   EXPECT_EQ(proxy.refused(), 1u);

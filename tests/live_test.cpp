@@ -2,6 +2,8 @@
 // over loopback TCP, driven by the same scheduling stack as the simulator.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/agreement_graph.hpp"
 #include "core/flow.hpp"
 #include "http/message.hpp"
@@ -98,6 +100,81 @@ TEST(L7Service, RejectsMalformedAndUnknown) {
     EXPECT_EQ(resp->status, 404);
   }
   EXPECT_EQ(service.bad_requests(), 2u);
+  service.stop();
+}
+
+TEST(L7Service, StalledClientDoesNotDelayOthers) {
+  const core::AgreementGraph graph = one_org_graph();
+  test::FixedRateScheduler scheduler({0.0, 10000.0});
+  L7Service::Config config;
+  config.backends = {{"127.0.0.1:9001", 1}};
+  L7Service service(&scheduler, graph, config);
+  service.start();
+
+  // Half a request head, then silence: the service must keep serving.
+  net::Socket stalled = net::Socket::connect_loopback(service.port());
+  stalled.write_all("GET /org/acme/slow HTTP/1.1\r\nhost: 127.0.0.1\r\n");
+
+  const auto begin = std::chrono::steady_clock::now();
+  const auto reply =
+      http::parse_response(http_get(service.port(), "/org/acme/fast"));
+  const auto took = std::chrono::steady_clock::now() - begin;
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, 302);
+  EXPECT_EQ(reply->headers.at("location"),
+            "http://127.0.0.1:9001/org/acme/fast");
+  EXPECT_LT(took, std::chrono::seconds(1));
+
+  // The stalled client still gets its answer once its head is complete.
+  stalled.write_all("\r\n");
+  const auto late = http::parse_response(stalled.read_http_head());
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(late->status, 302);
+  EXPECT_EQ(service.admitted(), 2u);
+  service.stop();
+}
+
+TEST(L7Service, CutShortAndUnknownHeadsKeepTheirReplies) {
+  const core::AgreementGraph graph = one_org_graph();
+  test::FixedRateScheduler scheduler({0.0, 100.0});
+  L7Service::Config config;
+  config.backends = {{"127.0.0.1:9001", 1}};
+  L7Service service(&scheduler, graph, config);
+  service.start();
+
+  // The peer closes its side before the blank line: decided as received.
+  const auto cut = http::parse_response(test::send_then_half_close(
+      service.port(), "GET /org/acme/x HTTP/1.1\r\nhost: 127.0.0.1\r\n"));
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_EQ(cut->status, 400);
+
+  const auto unknown = http::parse_response(test::send_then_half_close(
+      service.port(), "GET /org/nobody/x HTTP/1.1\r\n\r\n"));
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_EQ(unknown->status, 404);
+
+  EXPECT_EQ(service.bad_requests(), 2u);
+  EXPECT_EQ(service.admitted(), 0u);
+  service.stop();
+}
+
+TEST(L7Service, AThrowingPlanCostsOneRequestOnly) {
+  const core::AgreementGraph graph = one_org_graph();
+  test::ThrowOnceScheduler scheduler({0.0, 10000.0});
+  L7Service::Config config;
+  config.backends = {{"127.0.0.1:9001", 1}};
+  L7Service service(&scheduler, graph, config);
+  service.start();
+
+  // The first request's admission solves the first plan, which throws: the
+  // client sees a close with no reply, and the service keeps serving.
+  EXPECT_EQ(http_get(service.port(), "/org/acme/a"), "");
+  const auto next =
+      http::parse_response(http_get(service.port(), "/org/acme/b"));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->status, 302);
+  EXPECT_EQ(next->headers.at("location"), "http://127.0.0.1:9001/org/acme/b");
+  EXPECT_EQ(service.admitted(), 1u);
   service.stop();
 }
 

@@ -13,6 +13,7 @@
 #include "lp/solve_context.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "sched/window_scheduler.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid {
@@ -65,13 +66,13 @@ TEST(Regression, SplitClientsStillReceiveFullMandatoryShares) {
   c.layer = experiments::Layer::kL4;
   c.redirector_count = 2;  // A's and B's clients both span the fleet
   c.servers = {{"A", 320.0}, {"B", 320.0}};
-  for (int k = 0; k < 4; ++k)
-    c.clients.push_back({"A" + std::to_string(k), "A",
-                         static_cast<std::size_t>(k) % 2, 200.0,
+  for (std::size_t k = 0; k < 4; ++k)
+    c.clients.push_back({util::numbered("A", k), "A",
+                         k % 2, 200.0,
                          {{0.0, 40.0}}});
-  for (int k = 0; k < 2; ++k)
-    c.clients.push_back({"B" + std::to_string(k), "B",
-                         static_cast<std::size_t>(k) % 2, 200.0,
+  for (std::size_t k = 0; k < 2; ++k)
+    c.clients.push_back({util::numbered("B", k), "B",
+                         k % 2, 200.0,
                          {{0.0, 40.0}}});
   c.phases = {{"steady", 20.0, 38.0}};
   c.duration_sec = 40.0;

@@ -9,6 +9,7 @@
 #include "http/message.hpp"
 #include "lp/solve_context.hpp"
 #include "util/ini.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid {
@@ -103,8 +104,8 @@ TEST(Robustness, FlowAnalysisOnDenseCyclicGraphTerminates) {
   // with the serial one bit-for-bit (disjoint row writes + deterministic
   // per-row accumulation order).
   core::AgreementGraph g;
-  for (int i = 0; i < 8; ++i)
-    g.add_principal("P" + std::to_string(i), 100.0);
+  for (core::PrincipalId i = 0; i < 8; ++i)
+    g.add_principal(util::numbered("P", i), 100.0);
   for (core::PrincipalId i = 0; i < 8; ++i)
     for (core::PrincipalId j = 0; j < 8; ++j)
       if (i != j) g.set_agreement(i, j, 0.1, 0.2);
@@ -127,7 +128,7 @@ TEST(Robustness, ParallelFlowMatchesSerialOnRandomGraphs) {
     core::AgreementGraph g;
     const std::size_t n = 3 + rng.bounded(6);
     for (std::size_t i = 0; i < n; ++i)
-      g.add_principal("P" + std::to_string(i), rng.uniform(1.0, 100.0));
+      g.add_principal(util::numbered("P", i), rng.uniform(1.0, 100.0));
     for (core::PrincipalId i = 0; i < n; ++i) {
       double budget = 1.0;
       for (core::PrincipalId j = 0; j < n; ++j) {

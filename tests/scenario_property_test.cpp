@@ -6,6 +6,7 @@
 
 #include "core/flow.hpp"
 #include "experiments/scenario.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid::experiments {
@@ -27,7 +28,7 @@ RandomScenario make_random_scenario(std::uint64_t seed) {
 
   const std::size_t n = 2 + rng.bounded(3);
   for (std::size_t i = 0; i < n; ++i)
-    c.graph.add_principal("P" + std::to_string(i), 0.0);
+    c.graph.add_principal(util::numbered("P", i), 0.0);
   for (core::PrincipalId i = 0; i < n; ++i) {
     double budget = 1.0;
     for (core::PrincipalId j = i + 1; j < n; ++j) {
@@ -48,15 +49,15 @@ RandomScenario make_random_scenario(std::uint64_t seed) {
     // Owners are always the first principals so capacity skews upstream.
     const auto owner = static_cast<core::PrincipalId>(rng.bounded(n));
     const double capacity = 80.0 + rng.uniform(0.0, 320.0);
-    c.servers.push_back({"P" + std::to_string(owner), capacity});
+    c.servers.push_back({util::numbered("P", owner), capacity});
     out.total_capacity += capacity;
   }
 
   const std::size_t client_count = 2 + rng.bounded(4);
   for (std::size_t k = 0; k < client_count; ++k) {
     ClientSpec spec;
-    spec.name = "C" + std::to_string(k);
-    spec.principal = "P" + std::to_string(rng.bounded(n));
+    spec.name = util::numbered("C", k);
+    spec.principal = util::numbered("P", rng.bounded(n));
     spec.redirector = rng.bounded(c.redirector_count);
     spec.rate = 40.0 + rng.uniform(0.0, 360.0);
     spec.active_sec = {{0.0, 40.0}};

@@ -8,6 +8,7 @@
 #include "sched/endpoint_enforcer.hpp"
 #include "sched/income_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
+#include "util/names.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid::sched {
@@ -144,7 +145,7 @@ TEST_P(ResponseTimePropertyTest, PlansAreAlwaysAgreementCompliant) {
   core::AgreementGraph g;
   const std::size_t n = 3 + rng.bounded(3);
   for (std::size_t i = 0; i < n; ++i)
-    g.add_principal("P" + std::to_string(i), rng.uniform(50.0, 500.0));
+    g.add_principal(util::numbered("P", i), rng.uniform(50.0, 500.0));
   for (core::PrincipalId i = 0; i < n; ++i) {
     double budget = 1.0;
     for (core::PrincipalId j = 0; j < n; ++j) {
@@ -275,7 +276,7 @@ TEST(IncomeScheduler, IncomeAtLeastMatchesGreedyBaseline) {
     std::vector<double> prices{0.0};
     double budget = 1.0;
     for (std::size_t i = 1; i <= customers; ++i) {
-      g.add_principal("C" + std::to_string(i), 0.0);
+      g.add_principal(util::numbered("C", i), 0.0);
       const double lb = rng.uniform(0.0, budget * 0.4);
       g.set_agreement(0, i, lb, rng.uniform(lb, 1.0));
       budget -= lb;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Pre-PR gate: warnings-as-errors build + tests, then the same suite under
-# ASan/UBSan and TSan with the runtime invariant auditor compiled in.
+# Pre-PR gate: warnings-as-errors builds (RelWithDebInfo, Release -O3) +
+# tests, then the same suite under ASan/UBSan and TSan with the runtime
+# invariant auditor compiled in.
 # See docs/static-analysis.md. Usage:
 #
 #   tools/ci.sh                      # all stages
@@ -29,6 +30,7 @@ run_stage() {
 }
 
 run_stage relwithdebinfo   # -Werror + sharegrid_analyze + figure shapes
+run_stage release          # -O3 -Werror: GCC inlines more and warns more
 
 # Cross-process control plane: fork a 3-redirector fleet over loopback TCP
 # and require plan convergence (bitwise vs InProcessTransport), then the
@@ -77,15 +79,16 @@ else
   echo "=== [debug-tsan] parallel plan solves (worker pool) ==="
   ./build-tsan/tests/sharegrid_tests \
     --gtest_filter='MultiProviderScheduler.*:WorkerPool.*:AuditParallelPlanMatch.*'
-  # The unified control plane is the other concurrency surface: the live
-  # L4/L7 services drive it through the mutex-guarded WallClockAdmission
-  # facade, and the SocketTransport runs background receive threads feeding
-  # a mutex-guarded inbox drained by poll(). Rerun the control-plane,
-  # live-service, socket-transport, and TCP tests standalone under TSan so a
-  # report can't hide in the big ctest log (docs/control-plane.md).
-  echo "=== [debug-tsan] control plane + live drivers + socket transport ==="
+  # The unified control plane is the other concurrency surface: each live
+  # L4/L7 service drives it from one event-loop thread that its owner starts
+  # and stops (and whose counters other threads read), and the
+  # SocketTransport runs background receive threads feeding a mutex-guarded
+  # inbox drained by poll(). Rerun the control-plane, live-service (event
+  # loop included), socket-transport, and TCP tests standalone under TSan so
+  # a report can't hide in the big ctest log (docs/control-plane.md).
+  echo "=== [debug-tsan] control plane + live event loops + socket transport ==="
   ./build-tsan/tests/sharegrid_tests \
-    --gtest_filter='ControlPlane.*:ControlPlaneAudit.*:WallClockAdmission.*:L7Service.*:Tcp.*:SocketTransport.*:SocketTransportWire.*:SocketTransportAudit.*'
+    --gtest_filter='ControlPlane.*:ControlPlaneAudit.*:WallClockAdmission.*:EventLoop.*:L7Service.*:L4Proxy.*:Tcp.*:SocketTransport.*:SocketTransportWire.*:SocketTransportAudit.*'
   # The sharded simulation engine runs cluster domains on worker-pool lanes
   # with hand-rolled epoch barriers — exactly the code TSan exists for.
   # Rerun the engine and the cluster-partitioned scenario tests standalone;
