@@ -12,11 +12,10 @@
 // Three phases, all asserted (the demo is a ctest case):
 //
 //   1. Convergence — every child drives K windows over the wire, then
-//      replays the identical schedule on a single-process
-//      InProcessTransport fleet and requires its per-window plans, quotas
-//      and demand vectors to match *bitwise*. The lockstep wire protocol
-//      sums reports in the same member order with the same floating-point
-//      order, so "close" is not accepted — equality is.
+//      replays the identical schedule on a one-process RoundProtocol fleet
+//      and requires its per-window plans, quotas and demand vectors to
+//      match *bitwise*. Both runs are the same protocol, summing reports in
+//      global member order, so "close" is not accepted — equality is.
 //
 //   2. Rejoin — the highest-index leaf crashes (abrupt _Exit; no goodbye)
 //      after three windows. The root prunes it at the next round deadline
@@ -46,7 +45,7 @@
 #include <vector>
 
 #include "coord/control_plane.hpp"
-#include "coord/snapshot_transport.hpp"
+#include "coord/round_protocol.hpp"
 #include "coord/socket_transport.hpp"
 #include "core/flow.hpp"
 #include "experiments/scenario.hpp"
@@ -148,11 +147,11 @@ WindowRecord snapshot(const sharegrid::coord::ControlPlane::Member& member) {
 }
 
 /// Attaches a single-member plane at its global slot on the shared
-/// InProcessTransport. Each forked process registers its one member at
+/// one-process RoundProtocol. Each forked process registers its one member at
 /// member_offset on the wire; the baseline mirrors that addressing.
 class OffsetTransport final : public sharegrid::coord::SnapshotTransport {
  public:
-  OffsetTransport(sharegrid::coord::InProcessTransport* inner,
+  OffsetTransport(sharegrid::coord::RoundProtocol* inner,
                   std::size_t offset)
       : inner_(inner), offset_(offset) {}
   void attach(std::size_t member, Provider provider,
@@ -164,11 +163,11 @@ class OffsetTransport final : public sharegrid::coord::SnapshotTransport {
   std::uint64_t messages_sent() const override { return 0; }
 
  private:
-  sharegrid::coord::InProcessTransport* inner_;
+  sharegrid::coord::RoundProtocol* inner_;
   std::size_t offset_;
 };
 
-/// One full-fleet run on the synchronous in-process transport — the oracle
+/// One full-fleet run on a one-process RoundProtocol — the oracle
 /// the socket fleet must match. Window k plans against the aggregate of
 /// round k-1, exactly like the wire protocol's lockstep schedule. Each
 /// member gets its own plane and scheduler, just like the per-process fleet:
@@ -177,7 +176,7 @@ class OffsetTransport final : public sharegrid::coord::SnapshotTransport {
 std::vector<std::vector<WindowRecord>> run_baseline(
     const ScenarioConfig& config) {
   const std::size_t r = config.redirector_count;
-  sharegrid::coord::InProcessTransport transport(r, config.graph.size());
+  sharegrid::coord::RoundProtocol transport(r, config.graph.size(), {});
   std::vector<sharegrid::core::AgreementGraph> graphs(r);
   std::vector<std::unique_ptr<sharegrid::sched::Scheduler>> schedulers;
   std::vector<std::unique_ptr<sharegrid::coord::ControlPlane>> planes;
@@ -207,7 +206,7 @@ std::vector<std::vector<WindowRecord>> run_baseline(
       inject_arrivals(config, members[m], m, k);
       records[m].push_back(snapshot(*members[m]));
     }
-    transport.exchange();
+    transport.open_round(k);
   }
   transport.stop();
   return records;
@@ -267,8 +266,6 @@ int run_child(const ScenarioConfig& config,
       config.election_enabled && phase == Phase::kElection;
   options.lease_ttl_usec =
       static_cast<std::int64_t>(config.lease_ttl_ms * 1000.0);
-  options.heartbeat_usec =
-      static_cast<std::int64_t>(config.heartbeat_ms * 1000.0);
   options.reconnect_base_usec =
       static_cast<std::int64_t>(config.reconnect_base_ms * 1000.0);
   options.reconnect_max_usec =
@@ -304,6 +301,7 @@ int run_child(const ScenarioConfig& config,
 
   sharegrid::coord::SocketTransport transport(
       /*local_member_count=*/1, graph.size(), std::move(options));
+  const sharegrid::coord::RoundProtocol& protocol = transport.protocol();
   plane.connect(&transport);
   transport.start();
 
@@ -338,7 +336,7 @@ int run_child(const ScenarioConfig& config,
         // Root: must witness the prune AND the readmit, then pace enough
         // further rounds for the restarted leaf to plan against fresh
         // aggregates and exit — the pacer leaving first would starve it.
-        if (rejoin_window < 0 && transport.readmissions() >= 1 &&
+        if (rejoin_window < 0 && protocol.readmissions() >= 1 &&
             transport.reconnects() >= 1)
           rejoin_window = windows_begun;
         done = rejoin_window >= 0 && windows_begun >= rejoin_window + 50;
@@ -354,8 +352,8 @@ int run_child(const ScenarioConfig& config,
         // Follower: exit as soon as the quota is met under the elected
         // root — lingering after the new pacer quits would start a second
         // election (this process is then the lowest live member).
-        done = windows_begun >= kChurnWindows && transport.has_root() &&
-               transport.root_index() == 1;
+        done = windows_begun >= kChurnWindows && protocol.has_root() &&
+               protocol.root_index() == 1;
       } else {
         // Plain survivor: quota met and rounds have stopped flowing —
         // the phase's pacer has exited, nothing more will arrive.
@@ -369,8 +367,8 @@ int run_child(const ScenarioConfig& config,
           "member %zu: timed out (windows=%d readmissions=%llu "
           "elections=%llu reject=%s)\n",
           index, windows_begun,
-          static_cast<unsigned long long>(transport.readmissions()),
-          static_cast<unsigned long long>(transport.elections()),
+          static_cast<unsigned long long>(protocol.readmissions()),
+          static_cast<unsigned long long>(protocol.elections()),
           transport.last_reject_reason().c_str());
       transport.stop();
       return 3;
@@ -395,7 +393,7 @@ int run_child(const ScenarioConfig& config,
     if (records.size() != static_cast<std::size_t>(kWindows) ||
         records != baseline[index]) {
       std::fprintf(stderr,
-                   "member %zu: socket plans diverge from InProcessTransport\n",
+                   "member %zu: socket plans diverge from the replay fleet\n",
                    index);
       return 1;
     }
@@ -427,9 +425,9 @@ int run_child(const ScenarioConfig& config,
       std::printf(
           "member 0: pruned the dead leaf and re-admitted its restart "
           "(readmissions=%llu reconnects=%llu members_live=%zu)\n",
-          static_cast<unsigned long long>(transport.readmissions()),
+          static_cast<unsigned long long>(protocol.readmissions()),
           static_cast<unsigned long long>(transport.reconnects()),
-          transport.members_live());
+          protocol.members_live());
       print_socket_metrics(index);
     }
     return 0;
@@ -438,34 +436,34 @@ int run_child(const ScenarioConfig& config,
   // Election phase survivors.
   const std::size_t lowest_survivor = 1;
   if (index == lowest_survivor) {
-    if (!transport.is_root() || transport.elections() != 1) {
+    if (!protocol.is_root() || protocol.elections() != 1) {
       std::fprintf(stderr,
                    "member %zu: expected to win the election (root=%d "
                    "elections=%llu)\n",
-                   index, transport.is_root() ? 1 : 0,
-                   static_cast<unsigned long long>(transport.elections()));
+                   index, protocol.is_root() ? 1 : 0,
+                   static_cast<unsigned long long>(protocol.elections()));
       return 2;
     }
     std::printf(
         "member %zu: acquired the root lease (incarnation %llu) and drove "
         "rounds through window %d\n",
-        index, static_cast<unsigned long long>(transport.lease_incarnation()),
+        index, static_cast<unsigned long long>(protocol.lease_incarnation()),
         windows_begun);
     print_socket_metrics(index);
   } else {
-    if (!transport.has_root() || transport.root_index() != lowest_survivor ||
-        transport.elections() != 0) {
+    if (!protocol.has_root() || protocol.root_index() != lowest_survivor ||
+        protocol.elections() != 0) {
       std::fprintf(stderr,
                    "member %zu: expected to follow member %zu (root_index=%zu "
                    "elections=%llu)\n",
                    index, lowest_survivor,
-                   transport.has_root() ? transport.root_index() : 999,
-                   static_cast<unsigned long long>(transport.elections()));
+                   protocol.has_root() ? protocol.root_index() : 999,
+                   static_cast<unsigned long long>(protocol.elections()));
       return 2;
     }
     std::printf("member %zu: adopted the elected root (member %zu), tags "
                 "stayed monotone\n",
-                index, transport.root_index());
+                index, protocol.root_index());
   }
   return 0;
 }

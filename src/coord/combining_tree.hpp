@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "coord/snapshot_transport.hpp"
 #include "coord/topology.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
@@ -142,6 +144,43 @@ class PairwiseExchange {
   std::unique_ptr<sim::PeriodicTask> task_;
   std::uint64_t next_round_ = 0;
   std::uint64_t messages_sent_ = 0;
+};
+
+/// DES transport: wraps CombiningTree with members attached as tree nodes
+/// 1..R under a virtual root, so every member sees the same aggregate lag of
+/// 2 * link_delay (star) or 2 * depth * link_delay (balanced).
+class SimTreeTransport final : public SnapshotTransport {
+ public:
+  struct Options {
+    /// How often an aggregation round starts (0 = use first_round's period
+    /// caller default; must be set > 0).
+    SimDuration period = 100 * kMillisecond;
+    SimDuration link_delay = 0;
+    /// 0 = flat star under the virtual root; k >= 2 = balanced k-ary tree.
+    std::size_t fanout = 0;
+    /// When the first aggregation round fires.
+    SimTime first_round = 0;
+  };
+
+  SimTreeTransport(sim::Simulator* sim, std::size_t member_count,
+                   std::size_t vector_size, Options options);
+
+  void attach(std::size_t member, Provider provider,
+              Receiver receiver) override;
+  void start() override;
+  void stop() override;
+  std::uint64_t messages_sent() const override {
+    return tree_.messages_sent();
+  }
+
+  /// The underlying tree, for failure injection and round statistics.
+  CombiningTree& tree() { return tree_; }
+  const CombiningTree& tree() const { return tree_; }
+
+ private:
+  std::size_t member_count_;
+  Options options_;
+  CombiningTree tree_;
 };
 
 }  // namespace sharegrid::coord

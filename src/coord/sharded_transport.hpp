@@ -20,7 +20,7 @@
 #include <memory>
 #include <vector>
 
-#include "coord/snapshot_transport.hpp"
+#include "coord/combining_tree.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"

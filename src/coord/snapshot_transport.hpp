@@ -7,24 +7,19 @@
 // same coord::ControlPlane runs over
 //
 //  * SimTreeTransport  — the event-driven CombiningTree on a Simulator
-//    (the DES experiments; link delay and tree shape are modeled);
-//  * InProcessTransport — a synchronous in-memory combining tree for live
-//    multi-redirector deployments sharing one process (mutex-serialized by
-//    the wall-clock driver above it);
-//  * SocketTransport   — cross-process exchange over loopback TCP
-//    (coord/socket_transport.hpp): round-tagged demand vectors in a star,
-//    with deadline-abandoned rounds and a staleness fallback to 1/R.
+//    (combining_tree.hpp; the DES experiments model link delay and tree
+//    shape), and ShardedStarTransport across sharded simulation domains;
+//  * RoundProtocol     — the sans-IO round state machine
+//    (round_protocol.hpp). Hosting every member in one process it is the
+//    synchronous exchange of the live services and replay fleets; under
+//    SocketTransport (socket_transport.hpp) it runs across processes over
+//    loopback TCP, with deadline-abandoned rounds, lease-based root election
+//    and a staleness fallback to 1/R.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include "coord/combining_tree.hpp"
-#include "coord/topology.hpp"
-#include "sim/simulator.hpp"
-#include "util/time.hpp"
 
 namespace sharegrid::coord {
 
@@ -55,84 +50,11 @@ class SnapshotTransport {
   }
 
   /// Begins exchange rounds (periodic on the sim transport; explicit via
-  /// InProcessTransport::exchange() on the wall-clock path).
+  /// RoundProtocol::open_round() on the wall-clock path).
   virtual void start() = 0;
   virtual void stop() = 0;
 
   virtual std::uint64_t messages_sent() const = 0;
 };
-
-/// DES transport: wraps CombiningTree with members attached as tree nodes
-/// 1..R under a virtual root, so every member sees the same aggregate lag of
-/// 2 * link_delay (star) or 2 * depth * link_delay (balanced).
-class SimTreeTransport final : public SnapshotTransport {
- public:
-  struct Options {
-    /// How often an aggregation round starts (0 = use first_round's period
-    /// caller default; must be set > 0).
-    SimDuration period = 100 * kMillisecond;
-    SimDuration link_delay = 0;
-    /// 0 = flat star under the virtual root; k >= 2 = balanced k-ary tree.
-    std::size_t fanout = 0;
-    /// When the first aggregation round fires.
-    SimTime first_round = 0;
-  };
-
-  SimTreeTransport(sim::Simulator* sim, std::size_t member_count,
-                   std::size_t vector_size, Options options);
-
-  void attach(std::size_t member, Provider provider,
-              Receiver receiver) override;
-  void start() override;
-  void stop() override;
-  std::uint64_t messages_sent() const override {
-    return tree_.messages_sent();
-  }
-
-  /// The underlying tree, for failure injection and round statistics.
-  CombiningTree& tree() { return tree_; }
-  const CombiningTree& tree() const { return tree_; }
-
- private:
-  std::size_t member_count_;
-  Options options_;
-  CombiningTree tree_;
-};
-
-/// Synchronous in-process combining tree for live deployments: exchange()
-/// samples every provider, sums element-wise, and delivers the aggregate to
-/// every receiver before returning. Message accounting mirrors the star
-/// CombiningTree (R reports up + R broadcasts down per round). Not
-/// internally synchronized — the wall-clock driver above it serializes.
-class InProcessTransport final : public SnapshotTransport {
- public:
-  InProcessTransport(std::size_t member_count, std::size_t vector_size);
-
-  void attach(std::size_t member, Provider provider,
-              Receiver receiver) override;
-  void start() override;
-  void stop() override;
-  std::uint64_t messages_sent() const override { return messages_sent_; }
-
-  /// Runs one full aggregation round synchronously. No-op before start() /
-  /// after stop().
-  void exchange();
-
-  std::uint64_t rounds_completed() const { return rounds_completed_; }
-
- private:
-  std::size_t vector_size_;
-  std::vector<Provider> providers_;
-  std::vector<Receiver> receivers_;
-  std::vector<double> sum_scratch_;
-  bool started_ = false;
-  std::uint64_t next_round_ = 0;
-  std::uint64_t rounds_completed_ = 0;
-  std::uint64_t messages_sent_ = 0;
-};
-
-// The cross-process SocketTransport lives in coord/socket_transport.hpp —
-// it pulls in real sockets and threads, which nothing sim-only should pay
-// for transitively.
 
 }  // namespace sharegrid::coord

@@ -9,10 +9,10 @@
 //  * WallClockDriver — clock-agnostic window roller for the live stack: the
 //    caller polls with the current time in microseconds (steady_clock in
 //    production, a fake in tests), elapsed windows are advanced with bounded
-//    catch-up, and the in-process snapshot exchange runs on a configurable
-//    window cadence after the new window's quotas are in place (so window k
-//    plans against the aggregate sampled at the end of window k-1 — the
-//    same one-window snapshot lag a zero-delay sim tree produces).
+//    catch-up, and a one-process RoundProtocol round runs every window after
+//    the new window's quotas are in place (so window k plans against the
+//    aggregate sampled at the end of window k-1 — the same one-window
+//    snapshot lag a zero-delay sim tree produces).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "coord/control_plane.hpp"
-#include "coord/snapshot_transport.hpp"
+#include "coord/round_protocol.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
 
@@ -47,19 +47,15 @@ class SimWindowDriver {
 /// synchronized — each live service polls it from its one loop thread.
 class WallClockDriver {
  public:
-  struct Options {
-    /// Scheduling window in microseconds.
-    std::int64_t window_usec = 100000;
-    /// Idle-gap bound: at most this many windows advance per poll.
-    std::int64_t max_catchup = 16;
-    /// Run a snapshot exchange every this many windows (>= 1).
-    std::int64_t snapshot_period_windows = 1;
-  };
+  /// Idle-gap bound: at most this many windows advance per poll.
+  static constexpr std::int64_t kMaxCatchup = 16;
 
-  /// @param transport in-process exchange to run on window cadence; may be
-  ///                  nullptr (members then stay on their stale policy).
-  WallClockDriver(ControlPlane* plane, InProcessTransport* transport,
-                  Options options);
+  /// @param protocol    one-process round protocol hosting every member of
+  ///                    @p plane, run once per window; may be nullptr
+  ///                    (members then stay on their stale policy).
+  /// @param window_usec scheduling window in microseconds.
+  WallClockDriver(ControlPlane* plane, RoundProtocol* protocol,
+                  std::int64_t window_usec);
 
   /// Re-anchors the window clock at @p now_usec (call when serving starts).
   void reset(std::int64_t now_usec);
@@ -72,8 +68,8 @@ class WallClockDriver {
 
  private:
   ControlPlane* plane_;
-  InProcessTransport* transport_;
-  Options options_;
+  RoundProtocol* protocol_;
+  std::int64_t window_usec_;
   std::int64_t window_start_usec_ = 0;
   bool first_window_done_ = false;
   std::uint64_t windows_begun_ = 0;

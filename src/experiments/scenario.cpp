@@ -4,8 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "coord/combining_tree.hpp"
 #include "coord/control_plane.hpp"
-#include "coord/snapshot_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "core/flow.hpp"
 #include "nodes/client.hpp"
@@ -22,17 +22,41 @@
 #include "util/worker_pool.hpp"
 
 namespace sharegrid::experiments {
-namespace {
 
-/// Resolves a principal name, failing loudly on typos in scenario specs.
-core::PrincipalId resolve(const core::AgreementGraph& graph,
-                          const std::string& name) {
+core::PrincipalId resolve_principal(const core::AgreementGraph& graph,
+                                    const std::string& name) {
   const core::PrincipalId id = graph.find(name);
   SHAREGRID_EXPECTS(id != core::kNoPrincipal);
   return id;
 }
 
-}  // namespace
+std::unique_ptr<sched::Scheduler> build_scheduler(
+    const ScenarioConfig& config, const core::AgreementGraph& graph,
+    std::shared_ptr<WorkerPool> plan_pool) {
+  const std::size_t n = graph.size();
+  const core::AccessLevels levels = core::compute_access_levels(graph);
+  if (config.scheduler == SchedulerKind::kResponseTime) {
+    sched::ResponseTimeOptions options;
+    if (!config.locality_caps.empty()) {
+      SHAREGRID_EXPECTS(config.locality_caps.size() == n);
+      options.locality_caps = config.locality_caps;
+    }
+    return std::make_unique<sched::ResponseTimeScheduler>(graph, levels,
+                                                          options);
+  }
+  SHAREGRID_EXPECTS(config.prices.size() == n);
+  if (!config.providers.empty()) {
+    std::vector<core::PrincipalId> providers;
+    providers.reserve(config.providers.size());
+    for (const std::string& name : config.providers)
+      providers.push_back(resolve_principal(graph, name));
+    return std::make_unique<sched::MultiProviderScheduler>(
+        graph, levels, std::move(providers), config.prices,
+        std::move(plan_pool));
+  }
+  return std::make_unique<sched::IncomeScheduler>(
+      graph, levels, resolve_principal(graph, config.provider), config.prices);
+}
 
 double ScenarioResult::phase_served(std::size_t phase,
                                     std::size_t principal) const {
@@ -103,42 +127,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // Capacities come from the declared machines.
   for (core::PrincipalId p = 0; p < n; ++p) graph.set_capacity(p, 0.0);
   for (const auto& spec : config.servers) {
-    const core::PrincipalId owner = resolve(graph, spec.owner);
+    const core::PrincipalId owner = resolve_principal(graph, spec.owner);
     graph.set_capacity(owner, graph.capacity(owner) + spec.capacity);
   }
-  // Scheduler factory: re-invoked whenever capacities change at runtime
+  // The scheduler is rebuilt whenever capacities change at runtime
   // (agreements are interpreted dynamically, §2.2). The worker pool is
   // shared across rebuilds so capacity events don't respawn threads.
   std::shared_ptr<WorkerPool> plan_pool;
   if (!config.providers.empty() && config.plan_solver_threads > 0)
     plan_pool = std::make_shared<WorkerPool>(config.plan_solver_threads);
-  auto build_scheduler =
-      [&config, n, &plan_pool](
-          const core::AgreementGraph& g) -> std::unique_ptr<sched::Scheduler> {
-    const core::AccessLevels levels = core::compute_access_levels(g);
-    if (config.scheduler == SchedulerKind::kResponseTime) {
-      sched::ResponseTimeOptions options;
-      if (!config.locality_caps.empty()) {
-        SHAREGRID_EXPECTS(config.locality_caps.size() == n);
-        options.locality_caps = config.locality_caps;
-      }
-      return std::make_unique<sched::ResponseTimeScheduler>(g, levels,
-                                                            options);
-    }
-    SHAREGRID_EXPECTS(config.prices.size() == n);
-    if (!config.providers.empty()) {
-      std::vector<core::PrincipalId> providers;
-      providers.reserve(config.providers.size());
-      for (const std::string& name : config.providers)
-        providers.push_back(resolve(g, name));
-      return std::make_unique<sched::MultiProviderScheduler>(
-          g, levels, std::move(providers), config.prices, plan_pool);
-    }
-    return std::make_unique<sched::IncomeScheduler>(
-        g, levels, resolve(g, config.provider), config.prices);
-  };
-  auto scheduler =
-      std::make_unique<sched::SwappableScheduler>(build_scheduler(graph));
+  auto scheduler = std::make_unique<sched::SwappableScheduler>(
+      build_scheduler(config, graph, plan_pool));
 
   // --- Nodes ---------------------------------------------------------------
   sim::Simulator sim;
@@ -150,7 +149,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   for (std::size_t s = 0; s < config.servers.size(); ++s) {
     nodes::Server::Config sc;
     sc.name = "server-" + std::to_string(s);
-    sc.owner = resolve(graph, config.servers[s].owner);
+    sc.owner = resolve_principal(graph, config.servers[s].owner);
     sc.capacity = config.servers[s].capacity;
     sc.endpoint = {0x14000000u + static_cast<std::uint32_t>(s), 80};
     servers.push_back(std::make_unique<nodes::Server>(&sim, &metrics, sc));
@@ -238,7 +237,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       cc.name = config.client_scale == 1
                     ? spec.name
                     : spec.name + "#" + std::to_string(rep);
-      cc.principal = resolve(graph, spec.principal);
+      cc.principal = resolve_principal(graph, spec.principal);
       cc.index = clients.size();
       cc.rate = spec.rate;
       cc.retry_delay_sec = config.retry_delay_sec;
@@ -271,7 +270,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       const double delta = event.capacity - machine->config().capacity;
       machine->set_capacity(event.capacity);
       graph.set_capacity(owner, std::max(0.0, graph.capacity(owner) + delta));
-      scheduler->replace(build_scheduler(graph));
+      scheduler->replace(build_scheduler(config, graph, plan_pool));
     });
   }
 

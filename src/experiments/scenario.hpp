@@ -4,14 +4,20 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/agreement_graph.hpp"
 #include "nodes/l7_redirector.hpp"
 #include "nodes/metrics.hpp"
+#include "sched/scheduler.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
+
+namespace sharegrid {
+class WorkerPool;
+}  // namespace sharegrid
 
 namespace sharegrid::experiments {
 
@@ -125,9 +131,6 @@ struct ScenarioConfig {
   /// Root-lease TTL: followers treat the root as dead — and, with election
   /// enabled, run for the lease — this long after its last refresh.
   double lease_ttl_ms = 500.0;
-  /// Standalone lease-refresh spacing (0 = TTL / 3); every round start also
-  /// refreshes, so this only matters when rounds are sparse vs the TTL.
-  double heartbeat_ms = 0.0;
   /// Session re-dial backoff: first retry after reconnect_base_ms, doubling
   /// per refusal up to reconnect_max_ms, reset when a session establishes.
   double reconnect_base_ms = 20.0;
@@ -204,5 +207,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config);
 /// tree_link_delay > 0, tree_fanout == 0, no capacity events, and serial
 /// plan solves; see ScenarioConfig::clusters.
 ScenarioResult run_clustered_scenario(const ScenarioConfig& config);
+
+/// Resolves a principal name, failing loudly on typos in scenario specs.
+core::PrincipalId resolve_principal(const core::AgreementGraph& graph,
+                                    const std::string& name);
+
+/// The plan solver both runners build from `config.scheduler` (response
+/// time, multi-provider or income) over @p graph, whose capacities are
+/// already set from the declared machines. Multi-provider plans fan out on
+/// @p plan_pool (nullptr = serial solves).
+std::unique_ptr<sched::Scheduler> build_scheduler(
+    const ScenarioConfig& config, const core::AgreementGraph& graph,
+    std::shared_ptr<WorkerPool> plan_pool);
 
 }  // namespace sharegrid::experiments

@@ -180,12 +180,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
              std::to_string(*ttl));
       config.lease_ttl_ms = *ttl;
     }
-    if (const auto beat = cp.get_double("heartbeat_ms")) {
-      if (!std::isfinite(*beat) || *beat < 0.0)
-        fail("control_plane.heartbeat_ms must be finite and >= 0, got " +
-             std::to_string(*beat));
-      config.heartbeat_ms = *beat;
-    }
     if (const auto base = cp.get_double("reconnect_base_ms")) {
       if (!std::isfinite(*base) || *base <= 0.0)
         fail("control_plane.reconnect_base_ms must be finite and > 0, got " +

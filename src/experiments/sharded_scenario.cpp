@@ -29,9 +29,6 @@
 #include "nodes/client.hpp"
 #include "nodes/l4_redirector.hpp"
 #include "nodes/server.hpp"
-#include "sched/income_scheduler.hpp"
-#include "sched/multi_provider_scheduler.hpp"
-#include "sched/response_time_scheduler.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "util/assert.hpp"
 #include "util/metrics_registry.hpp"
@@ -39,13 +36,6 @@
 
 namespace sharegrid::experiments {
 namespace {
-
-core::PrincipalId resolve(const core::AgreementGraph& graph,
-                          const std::string& name) {
-  const core::PrincipalId id = graph.find(name);
-  SHAREGRID_EXPECTS(id != core::kNoPrincipal);
-  return id;
-}
 
 /// One cluster's full vertical slice. Everything here is touched only by
 /// events of the cluster's own domain, so lanes never share mutable state.
@@ -97,35 +87,11 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
   const std::size_t n = graph.size();
   for (core::PrincipalId p = 0; p < n; ++p) graph.set_capacity(p, 0.0);
   for (const auto& spec : config.servers) {
-    const core::PrincipalId owner = resolve(graph, spec.owner);
+    const core::PrincipalId owner = resolve_principal(graph, spec.owner);
     graph.set_capacity(owner,
                        graph.capacity(owner) +
                            spec.capacity * static_cast<double>(config.clusters));
   }
-  auto build_scheduler = [&config, &graph,
-                          n]() -> std::unique_ptr<sched::Scheduler> {
-    const core::AccessLevels levels = core::compute_access_levels(graph);
-    if (config.scheduler == SchedulerKind::kResponseTime) {
-      sched::ResponseTimeOptions options;
-      if (!config.locality_caps.empty()) {
-        SHAREGRID_EXPECTS(config.locality_caps.size() == n);
-        options.locality_caps = config.locality_caps;
-      }
-      return std::make_unique<sched::ResponseTimeScheduler>(graph, levels,
-                                                            options);
-    }
-    SHAREGRID_EXPECTS(config.prices.size() == n);
-    if (!config.providers.empty()) {
-      std::vector<core::PrincipalId> providers;
-      providers.reserve(config.providers.size());
-      for (const std::string& name : config.providers)
-        providers.push_back(resolve(graph, name));
-      return std::make_unique<sched::MultiProviderScheduler>(
-          graph, levels, std::move(providers), config.prices, nullptr);
-    }
-    return std::make_unique<sched::IncomeScheduler>(
-        graph, levels, resolve(graph, config.provider), config.prices);
-  };
 
   // --- Engine + per-cluster slices ----------------------------------------
   sim::ShardedSimulator::Options engine;
@@ -144,12 +110,12 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
   for (std::size_t c = 0; c < config.clusters; ++c) {
     sim::Simulator& sim = sharded.domain(c);
     auto cluster = std::make_unique<Cluster>(n);
-    cluster->scheduler = build_scheduler();
+    cluster->scheduler = build_scheduler(config, graph, nullptr);
 
     for (std::size_t s = 0; s < config.servers.size(); ++s) {
       nodes::Server::Config sc;
       sc.name = "c" + std::to_string(c) + "-server-" + std::to_string(s);
-      sc.owner = resolve(graph, config.servers[s].owner);
+      sc.owner = resolve_principal(graph, config.servers[s].owner);
       sc.capacity = config.servers[s].capacity;
       sc.endpoint = {0x14000000u + (static_cast<std::uint32_t>(c) << 12) +
                          static_cast<std::uint32_t>(s),
@@ -226,7 +192,7 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
         cc.name = "c" + std::to_string(c) + "-" + spec.name +
                   (config.client_scale == 1 ? ""
                                             : "#" + std::to_string(rep));
-        cc.principal = resolve(graph, spec.principal);
+        cc.principal = resolve_principal(graph, spec.principal);
         cc.index = cluster.clients.size();
         cc.rate = spec.rate;
         cc.retry_delay_sec = config.retry_delay_sec;

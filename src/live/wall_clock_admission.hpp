@@ -5,11 +5,11 @@
 // implementation the DES experiments run (DESIGN.md D10). This facade is the
 // thin live-side driver: it owns the steady_clock, rolls elapsed windows
 // through a WallClockDriver, and runs the snapshot exchange of its one
-// control-plane member over an InProcessTransport (the cross-process
-// coord::SocketTransport plugs into the same seam). A demand-spike fast path
-// re-plans the current window when a cold estimator would otherwise starve a
-// principal whose load just appeared, bounded by the control plane's
-// per-window re-plan budget.
+// control-plane member on a one-process coord::RoundProtocol (the
+// cross-process coord::SocketTransport drives the same protocol over TCP).
+// A demand-spike fast path re-plans the current window when a cold
+// estimator would otherwise starve a principal whose load just appeared,
+// bounded by the control plane's per-window re-plan budget.
 //
 // Not synchronized: each service calls its facade from its one event-loop
 // thread only (live/event_loop.hpp), so admission takes no lock.
@@ -20,7 +20,7 @@
 #include <optional>
 
 #include "coord/control_plane.hpp"
-#include "coord/snapshot_transport.hpp"
+#include "coord/round_protocol.hpp"
 #include "coord/window_driver.hpp"
 #include "sched/scheduler.hpp"
 #include "util/assert.hpp"
@@ -35,13 +35,13 @@ class WallClockAdmission {
   ///                    (paper: 100 ms).
   WallClockAdmission(const sched::Scheduler* scheduler,
                      std::int64_t window_usec)
-      : transport_(1, scheduler->size()),
+      : protocol_(1, scheduler->size(), {}),
         plane_(scheduler, plane_config(window_usec)),
-        driver_(&plane_, &transport_, driver_options(window_usec)),
+        driver_(&plane_, &protocol_, window_usec),
         member_(plane_.add_member()),
         epoch_(std::chrono::steady_clock::now()) {
-    plane_.connect(&transport_);
-    transport_.start();
+    plane_.connect(&protocol_);
+    protocol_.start();
   }
 
   /// Resets the window clock (call when the service starts serving).
@@ -64,7 +64,7 @@ class WallClockAdmission {
   const coord::ControlPlane::Member& member() const { return *member_; }
   std::uint64_t windows_begun() const { return driver_.windows_begun(); }
   std::uint64_t snapshot_rounds() const {
-    return transport_.rounds_completed();
+    return protocol_.rounds_completed();
   }
 
  private:
@@ -75,20 +75,13 @@ class WallClockAdmission {
     return plane;
   }
 
-  static coord::WallClockDriver::Options driver_options(
-      std::int64_t window_usec) {
-    coord::WallClockDriver::Options options;
-    options.window_usec = window_usec;
-    return options;
-  }
-
   std::int64_t now_usec() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - epoch_)
         .count();
   }
 
-  coord::InProcessTransport transport_;
+  coord::RoundProtocol protocol_;
   coord::ControlPlane plane_;
   coord::WallClockDriver driver_;
   coord::ControlPlane::Member* member_;

@@ -756,8 +756,9 @@ PhaseResult SolveContext::Impl::run_simplex(const std::vector<double>& costs,
 /// iteration reads the row off the eta file). Returns false when the basis
 /// is not dual feasible for the new costs (the objective moved), when a
 /// violated row has no admissible entering column (the new program may be
-/// genuinely infeasible — let the cold solve decide), or when the pivot
-/// budget runs out; callers then fall back to the full two-phase method.
+/// genuinely infeasible — let the cold solve decide), when the chosen pivot
+/// comes up exactly zero in its FTRAN image, or when the pivot budget runs
+/// out; callers then fall back to the full two-phase method.
 /// Precondition: prep, upper, and the basic values reflect the *new*
 /// problem (rhs possibly out of bounds).
 bool SolveContext::Impl::dual_recover(const SolverOptions& opt) {
@@ -843,6 +844,11 @@ bool SolveContext::Impl::dual_recover(const SolverOptions& opt) {
     const double dir = at_upper[enter] ? -1.0 : 1.0;
     const double step = (rhs[leave] - target) / (pr[enter] * dir);
     ftran_column(enter, col);
+    // The row read by BTRAN chose this pivot; when the column read by FTRAN
+    // puts an exact zero there instead, the eta file is too ill-conditioned
+    // to extend. Stop before this pivot touches any state and let the caller
+    // solve cold, as after a singular rebuild.
+    if (!(std::abs(col[leave]) > 0.0)) return false;
     for (std::size_t i = 0; i < m; ++i) rhs[i] -= dir * col[i] * step;
     const double enter_value =
         (at_upper[enter] ? upper[enter] : 0.0) + dir * step;

@@ -234,6 +234,27 @@ TEST(AnalyzeRules, NoWallClockExemptsLiveAndUtilTime) {
           .empty());
 }
 
+TEST(AnalyzeRules, SansIoFiresOnIoIncludesInTheRoundProtocol) {
+  const auto v = violations_of(
+      {header("coord/round_protocol.hpp",
+              "#include \"net/tcp.hpp\"\n#include <mutex>")},
+      "sans-io");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_NE(v[0].message.find("net/tcp.hpp"), std::string::npos);
+  EXPECT_NE(v[1].message.find("<mutex>"), std::string::npos);
+  // The pure includes pass, and the rule binds only the protocol files.
+  EXPECT_TRUE(violations_of({header("coord/round_protocol.cpp",
+                                    "#include \"coord/snapshot_wire.hpp\"\n"
+                                    "#include <vector>")},
+                            "sans-io")
+                  .empty());
+  EXPECT_TRUE(violations_of({header("coord/socket_transport.hpp",
+                                    "#include \"net/tcp.hpp\"\n"
+                                    "#include <mutex>")},
+                            "sans-io")
+                  .empty());
+}
+
 TEST(AnalyzeRules, NoWallClockSkipsMemberTimeCalls) {
   // `event.time()` and `e->time()` are accessors, not the C library clock.
   EXPECT_TRUE(violations_of({header("sim/a.hpp",

@@ -16,7 +16,8 @@
 
 #include "audit/invariant_auditor.hpp"
 #include "coord/control_plane.hpp"
-#include "coord/snapshot_transport.hpp"
+#include "coord/combining_tree.hpp"
+#include "coord/round_protocol.hpp"
 #include "coord/socket_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "live/wall_clock_admission.hpp"
@@ -119,13 +120,11 @@ TEST(ControlPlane, SimAndWallClockDriversRunTheSamePath) {
   std::vector<std::vector<WindowRecord>> wall_records(2);
   for (std::size_t m = 0; m < 2; ++m)
     bind_recorder(wall_members[m], &wall_records[m]);
-  coord::InProcessTransport wall_transport(2, 2);
-  wall_plane.connect(&wall_transport);
-  wall_transport.start();
-  coord::WallClockDriver::Options wall_options;
-  wall_options.window_usec = kWindow;  // SimTime ticks are microseconds
-  coord::WallClockDriver wall_driver(&wall_plane, &wall_transport,
-                                     wall_options);
+  coord::RoundProtocol wall_protocol(2, 2, {});
+  wall_plane.connect(&wall_protocol);
+  wall_protocol.start();
+  // SimTime ticks are microseconds.
+  coord::WallClockDriver wall_driver(&wall_plane, &wall_protocol, kWindow);
 
   for (int k = 1; k <= kWindows; ++k) {
     // Identical offered load, uneven across members so the proportional
@@ -193,9 +192,7 @@ TEST(ControlPlane, ConservativeStartupPinsOneOverROnBothDrivers) {
   // Wall-clock driver, null transport.
   coord::ControlPlane wall_plane(&scheduler, config);
   for (int m = 0; m < 4; ++m) wall_plane.add_member();
-  coord::WallClockDriver::Options options;
-  options.window_usec = kWindow;
-  coord::WallClockDriver driver(&wall_plane, nullptr, options);
+  coord::WallClockDriver driver(&wall_plane, nullptr, kWindow);
   EXPECT_EQ(driver.poll(0), 1);  // the first poll always opens a window
   for (std::size_t m = 0; m < 4; ++m) {
     const coord::ControlPlane::Member* member = wall_plane.member(m);
@@ -345,8 +342,8 @@ TEST(ControlPlane, QuotaCarryResetDropsBankedFraction) {
 // Transport seam.
 // ---------------------------------------------------------------------------
 
-TEST(ControlPlane, InProcessTransportExchangesSynchronously) {
-  coord::InProcessTransport transport(2, 2);
+TEST(ControlPlane, OneProcessRoundProtocolExchangesSynchronously) {
+  coord::RoundProtocol transport(2, 2, {});
   std::vector<std::uint64_t> rounds;
   std::vector<double> last_aggregate;
   for (std::size_t m = 0; m < 2; ++m) {
@@ -363,25 +360,25 @@ TEST(ControlPlane, InProcessTransportExchangesSynchronously) {
         });
   }
 
-  transport.exchange();  // no-op before start()
+  transport.open_round(0);  // no-op before start()
   EXPECT_TRUE(rounds.empty());
   EXPECT_EQ(transport.rounds_completed(), 0u);
 
   transport.start();
-  transport.exchange();
+  transport.open_round(0);  // completes before it returns
   ASSERT_EQ(rounds.size(), 2u);  // both members, same round
-  EXPECT_EQ(rounds[0], 0u);
-  EXPECT_EQ(rounds[1], 0u);
+  EXPECT_EQ(rounds[0], 1u);
+  EXPECT_EQ(rounds[1], 1u);
   ASSERT_EQ(last_aggregate.size(), 2u);
   EXPECT_DOUBLE_EQ(last_aggregate[0], 4.0);  // 1 + 3
   EXPECT_DOUBLE_EQ(last_aggregate[1], 6.0);  // 2 + 4
   EXPECT_EQ(transport.messages_sent(), 4u);  // R up + R down
-  transport.exchange();
-  EXPECT_EQ(rounds.back(), 1u);
+  transport.open_round(0);
+  EXPECT_EQ(rounds.back(), 2u);
   EXPECT_EQ(transport.rounds_completed(), 2u);
 
   transport.stop();
-  transport.exchange();  // no-op after stop()
+  transport.open_round(0);  // no-op after stop()
   EXPECT_EQ(transport.rounds_completed(), 2u);
 }
 

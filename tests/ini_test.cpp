@@ -210,14 +210,12 @@ TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
   const std::string text = std::string(kMinimalScenario) +
                            "[control_plane]\n"
                            "lease_ttl_ms = 250\n"
-                           "heartbeat_ms = 50\n"
                            "reconnect_base_ms = 5\n"
                            "reconnect_max_ms = 80\n"
                            "election_enabled = false\n"
                            "allow_nonlocal = true\n";
   const ScenarioConfig config = scenario_from_ini(parse_ini(text));
   EXPECT_DOUBLE_EQ(config.lease_ttl_ms, 250.0);
-  EXPECT_DOUBLE_EQ(config.heartbeat_ms, 50.0);
   EXPECT_DOUBLE_EQ(config.reconnect_base_ms, 5.0);
   EXPECT_DOUBLE_EQ(config.reconnect_max_ms, 80.0);
   EXPECT_FALSE(config.election_enabled);
@@ -226,7 +224,6 @@ TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
   // Defaults without the keys: loopback-only, election on, 500 ms TTL.
   const ScenarioConfig bare = scenario_from_ini(parse_ini(kMinimalScenario));
   EXPECT_DOUBLE_EQ(bare.lease_ttl_ms, 500.0);
-  EXPECT_DOUBLE_EQ(bare.heartbeat_ms, 0.0);
   EXPECT_TRUE(bare.election_enabled);
   EXPECT_FALSE(bare.allow_nonlocal);
 
@@ -235,9 +232,6 @@ TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
   };
   EXPECT_THROW(
       scenario_from_ini(parse_ini(with_section("lease_ttl_ms = 0\n"))),
-      ContractViolation);
-  EXPECT_THROW(
-      scenario_from_ini(parse_ini(with_section("heartbeat_ms = -1\n"))),
       ContractViolation);
   EXPECT_THROW(
       scenario_from_ini(parse_ini(with_section("reconnect_base_ms = 0\n"))),

@@ -3,6 +3,11 @@
 // return.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -166,6 +171,63 @@ TEST(Regression, DegenerateCoefficientOptimaSatisfyOriginalProblem) {
     if (!s.optimal()) continue;
     EXPECT_NO_THROW(audit::audit_lp_solution(p, s, 1e-5)) << "trial " << trial;
   }
+}
+
+// Bug 7 (found by the plane_socket benchmark workload, seeds 102 and 106
+// with --switch-windows 40): dual recovery on a warm basis chose its pivot
+// from the row read by BTRAN, but the entering column read by FTRAN had an
+// exact zero in that row; filing it as an eta tripped the EtaFile::push
+// invariant and aborted the plan. Dual recovery now gives up on such a
+// pivot and the solve goes cold. The fixture holds the shortest plan()
+// sequence from that run which still failed: fifteen 64-principal demand
+// vectors in hexfloat, over the benchmark's provider graph.
+TEST(Regression, DualRecoveryZeroPivotFallsBackToColdSolve) {
+  // Provider S plus 63 customers with seeded [lb, ub] agreements, drawn
+  // from a splitmix64 stream exactly as the benchmark draws them.
+  std::uint64_t state = 42;
+  const auto uniform = [&state](double lo, double hi) {
+    std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL) + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return lo + (hi - lo) * static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  core::AgreementGraph g;
+  g.add_principal("S", 1000.0);
+  double budget = 1.0;
+  for (std::size_t i = 1; i < 64; ++i) {
+    g.add_principal(util::numbered("P", i), 0.0);
+    const double lb = uniform(0.0, budget * 0.5);
+    g.set_agreement(0, i, lb, uniform(lb, 1.0));
+    budget -= lb;
+  }
+
+  std::ifstream in(SHAREGRID_TEST_DATA_DIR "/lp_zero_pivot_plans.txt");
+  ASSERT_TRUE(in.good());
+  std::vector<std::vector<double>> demands;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::vector<double> demand;
+    for (std::string field; fields >> field;)
+      demand.push_back(std::strtod(field.c_str(), nullptr));
+    ASSERT_EQ(demand.size(), g.size());
+    demands.push_back(std::move(demand));
+  }
+  ASSERT_EQ(demands.size(), 15u);
+
+  const core::AccessLevels levels = core::compute_access_levels(g);
+  const sched::ResponseTimeScheduler warm(g, levels);
+  sched::Plan last;
+  for (const std::vector<double>& demand : demands)
+    ASSERT_NO_THROW(last = warm.plan(demand));
+  // The fallback is a real solve, not the previous window's allocation, and
+  // it plans what a scheduler with no warm state plans.
+  EXPECT_FALSE(last.lp_fallback);
+  const sched::Plan fresh =
+      sched::ResponseTimeScheduler(g, levels).plan(demands.back());
+  EXPECT_NEAR(last.theta, fresh.theta, 1e-9);
+  for (core::PrincipalId p = 0; p < g.size(); ++p)
+    EXPECT_NEAR(last.admitted(p), fresh.admitted(p), 1e-6) << "principal " << p;
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for the cross-process snapshot transport (coord/socket_transport.hpp)
-// and its wire codec: aggregate parity with InProcessTransport, membership
-// pruning and round-boundary rejoin, lease-based root election with
-// incarnation fencing, the deadline -> staleness -> conservative-1/R
+// and its wire codec: bitwise aggregate parity with a member-order sum,
+// membership pruning and round-boundary rejoin, lease-based root election
+// with incarnation fencing, the deadline -> staleness -> conservative-1/R
 // degradation path (election disabled), star message accounting, the
 // malformed-frame rejection table for both v1 snapshot and v2 membership
 // frames (pure codec and raw bytes injected at a live process), and the
-// delivery-side audits.
+// delivery-side audits. The protocol's own decisions are tested without
+// sockets in round_protocol_test.cpp.
 //
 // All protocol timing here uses fake caller-supplied clocks — poll(now) owns
 // every deadline, lease expiry and election — so only the byte transport
@@ -156,7 +157,7 @@ struct RawPeer {
 };
 
 // ---------------------------------------------------------------------------
-// Aggregate parity: the wire fleet must reproduce InProcessTransport's sums
+// Aggregate parity: the wire fleet must reproduce a plain member-order sum
 // bitwise — same member order, same floating-point summation order.
 // ---------------------------------------------------------------------------
 
@@ -169,25 +170,17 @@ TEST(SocketTransport, AggregatesMatchInProcessBitwise) {
                                1.0 / (3.0 + static_cast<double>(m + round))};
   };
 
-  // Oracle: the synchronous in-process fleet.
+  // Oracle: each round's samples summed inline in member order, so the
+  // reference shares no code with the protocol under test.
   std::vector<std::vector<double>> expected;
-  {
-    coord::InProcessTransport oracle(kFleet, 2);
-    std::uint64_t oracle_round = 0;
-    std::vector<std::vector<double>> delivered;
-    for (std::size_t m = 0; m < kFleet; ++m)
-      oracle.attach(
-          m, [&, m] { return provider(m, oracle_round); },
-          [&, m](std::uint64_t, const std::vector<double>& sum) {
-            if (m == 0) delivered.push_back(sum);
-          });
-    oracle.start();
-    for (oracle_round = 1; oracle_round <= kRounds; ++oracle_round)
-      oracle.exchange();
-    oracle.stop();
-    expected = delivered;
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    std::vector<double> sum(2, 0.0);
+    for (std::size_t m = 0; m < kFleet; ++m) {
+      const std::vector<double> sample = provider(m, round);
+      for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += sample[i];
+    }
+    expected.push_back(sum);
   }
-  ASSERT_EQ(expected.size(), static_cast<std::size_t>(kRounds));
 
   // Wire fleet: one root + two leaves in this process.
   const auto base = root_options(kFleet);
@@ -241,9 +234,9 @@ TEST(SocketTransport, AggregatesMatchInProcessBitwise) {
   EXPECT_EQ(root.rounds_abandoned(), 0u);
   EXPECT_EQ(root.frames_rejected(), 0u);
   // The full, churn-free fleet: every round carried all R members.
-  EXPECT_EQ(root.members_live(), kFleet);
-  EXPECT_EQ(root.readmissions(), 0u);
-  EXPECT_EQ(root.elections(), 0u);
+  EXPECT_EQ(root.protocol().members_live(), kFleet);
+  EXPECT_EQ(root.protocol().readmissions(), 0u);
+  EXPECT_EQ(root.protocol().elections(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +283,7 @@ TEST(SocketTransport, LeafLossPrunesAndRejoinFoldsInAtARoundBoundary) {
   ASSERT_TRUE(pump_until({&root, leaf1.get(), leaf2.get()}, &now, 500, [&] {
     return !leaf1_sums.empty() && leaf1_sums.back() == 7.0;
   }));
-  EXPECT_EQ(root.members_live(), kFleet);
+  EXPECT_EQ(root.protocol().members_live(), kFleet);
 
   // Kill leaf 2 abruptly. Within a deadline the open round is abandoned,
   // the next boundary captures the shrunken live set, and rounds *resume*
@@ -300,7 +293,7 @@ TEST(SocketTransport, LeafLossPrunesAndRejoinFoldsInAtARoundBoundary) {
   ASSERT_TRUE(pump_until({&root, leaf1.get()}, &now, 2'000, [&] {
     return !leaf1_sums.empty() && leaf1_sums.back() == 3.0;
   }));
-  EXPECT_EQ(root.members_live(), kFleet - 1);
+  EXPECT_EQ(root.protocol().members_live(), kFleet - 1);
 
   // Restart it as a new process incarnation. The root's session layer sees
   // a rejoin (same process index, higher incarnation) and the next round
@@ -322,8 +315,8 @@ TEST(SocketTransport, LeafLossPrunesAndRejoinFoldsInAtARoundBoundary) {
         return !leaf1_sums.empty() && leaf1_sums.back() == 7.0 &&
                !leaf2b_sums.empty();
       }));
-  EXPECT_EQ(root.members_live(), kFleet);
-  EXPECT_GE(root.readmissions(), 1u);
+  EXPECT_EQ(root.protocol().members_live(), kFleet);
+  EXPECT_GE(root.protocol().readmissions(), 1u);
   EXPECT_GE(root.reconnects(), 1u);
 
   // The boundary guarantee, everywhere: every aggregate ever delivered is
@@ -384,9 +377,10 @@ TEST(SocketTransport, RootLossWithElectionDisabledDegradesToConservative) {
   root->stop();
   root.reset();
   ASSERT_TRUE(pump_until({&survivor}, &now, 5'000, [&] {
-    return survivor.stale_fallbacks() >= 1 && !member->global().valid;
+    return survivor.protocol().stale_fallbacks() >= 1 &&
+           !member->global().valid;
   }));
-  EXPECT_EQ(survivor.elections(), 0u);
+  EXPECT_EQ(survivor.protocol().elections(), 0u);
 
   // The next window plans exactly like a never-snapshotted member: the
   // conservative cross-fleet slice audit must hold again.
@@ -454,22 +448,24 @@ TEST(SocketTransport, RootFailureElectsLowestLiveMember) {
   std::int64_t now = 0;
   ASSERT_TRUE(pump_until({root.get(), &s1, &s2}, &now, 500,
                          [&] { return s2_rounds.size() >= 2; }));
-  EXPECT_EQ(s1.root_index(), 0u);
+  EXPECT_EQ(s1.protocol().root_index(), 0u);
 
   // Kill the root. Lease expiry (fake clock) plus a refused dial to every
   // lower-index peer makes survivor 1 — and only survivor 1 — acquire:
   // survivor 2's candidacy is blocked by its live session to survivor 1.
   root->stop();
   root.reset();
+  const coord::RoundProtocol& p1 = s1.protocol();
+  const coord::RoundProtocol& p2 = s2.protocol();
   ASSERT_TRUE(pump_until({&s1, &s2}, &now, 2'000, [&] {
-    return s1.is_root() && s2.has_root() && s2.root_index() == 1 &&
+    return p1.is_root() && p2.has_root() && p2.root_index() == 1 &&
            s2_sums.size() >= 2 && s2_sums.back() == 6.0;
-  })) << "s1 root=" << s1.is_root() << " elections=" << s1.elections()
-      << " s2 root_index=" << (s2.has_root() ? s2.root_index() : 999)
+  })) << "s1 root=" << p1.is_root() << " elections=" << p1.elections()
+      << " s2 root_index=" << (p2.has_root() ? p2.root_index() : 999)
       << " deliveries=" << s2_sums.size();
-  EXPECT_EQ(s1.elections(), 1u);
-  EXPECT_EQ(s2.elections(), 0u);
-  EXPECT_GE(s1.lease_incarnation(), 2u);
+  EXPECT_EQ(p1.elections(), 1u);
+  EXPECT_EQ(p2.elections(), 0u);
+  EXPECT_GE(p1.lease_incarnation(), 2u);
 
   // Round tags stayed strictly monotone across the root change (the
   // delivery audit would have thrown otherwise; pin it explicitly too).
@@ -509,7 +505,7 @@ TEST(SocketTransport, ZombieRootRoundsAreFencedByIncarnation) {
   ASSERT_TRUE(z0.read_until(nodes, &now, [](const coord::wire::Frame& f) {
     return f.type == coord::wire::FrameType::kLeaseAck && f.incarnation == 1;
   }));
-  EXPECT_EQ(follower.root_index(), 0u);
+  EXPECT_EQ(follower.protocol().root_index(), 0u);
   z0.round_start(1);
   ASSERT_TRUE(z0.read_until(nodes, &now, [](const coord::wire::Frame& f) {
     return f.type == coord::wire::FrameType::kReport && f.member == 2 &&
@@ -523,8 +519,8 @@ TEST(SocketTransport, ZombieRootRoundsAreFencedByIncarnation) {
   ASSERT_TRUE(z1.read_until(nodes, &now, [](const coord::wire::Frame& f) {
     return f.type == coord::wire::FrameType::kLeaseAck && f.incarnation == 2;
   }));
-  EXPECT_EQ(follower.root_index(), 1u);
-  EXPECT_EQ(follower.lease_incarnation(), 2u);
+  EXPECT_EQ(follower.protocol().root_index(), 1u);
+  EXPECT_EQ(follower.protocol().lease_incarnation(), 2u);
 
   // The deposed root keeps driving rounds: rejected, and the answer is a
   // lease-ack carrying incarnation 2 — the fence that makes it step down.
@@ -546,7 +542,7 @@ TEST(SocketTransport, RootStepsDownWhenANewerLeaseAppears) {
       0, [] { return std::vector<double>{1.0}; },
       [](std::uint64_t, const std::vector<double>&) {});
   root.start();
-  ASSERT_TRUE(root.is_root());
+  ASSERT_TRUE(root.protocol().is_root());
   std::vector<coord::SocketTransport*> nodes{&root};
   std::int64_t now = 0;
 
@@ -562,10 +558,10 @@ TEST(SocketTransport, RootStepsDownWhenANewerLeaseAppears) {
   ASSERT_TRUE(rival.read_until(nodes, &now, [](const coord::wire::Frame& f) {
     return f.type == coord::wire::FrameType::kLeaseAck && f.incarnation == 5;
   }));
-  EXPECT_FALSE(root.is_root());
-  EXPECT_TRUE(root.has_root());
-  EXPECT_EQ(root.root_index(), 1u);
-  EXPECT_EQ(root.lease_incarnation(), 5u);
+  EXPECT_FALSE(root.protocol().is_root());
+  EXPECT_TRUE(root.protocol().has_root());
+  EXPECT_EQ(root.protocol().root_index(), 1u);
+  EXPECT_EQ(root.protocol().lease_incarnation(), 5u);
   rival.round_start(100);
   ASSERT_TRUE(rival.read_until(nodes, &now, [](const coord::wire::Frame& f) {
     return f.type == coord::wire::FrameType::kReport && f.member == 0 &&

@@ -275,6 +275,39 @@ void check_nodiscard_status(const AnalyzedFile& file,
   }
 }
 
+/// sans-io: the round protocol (coord/round_protocol.*) is a pure state
+/// machine, so it may include neither the socket, simulator and live layers
+/// nor the thread, lock, atomic and clock headers. That is what lets the
+/// same protocol run over TCP, in one process, or under a simulated network
+/// with a fake clock (docs/control-plane.md).
+void check_sans_io(const AnalyzedFile& file, std::vector<Violation>* out) {
+  if (file.canonical.rfind("coord/round_protocol.", 0) != 0) return;
+  static const std::vector<std::string> kBanned = {
+      "\"net/", "\"sim/", "\"live/", "<thread>", "<mutex>", "<atomic>",
+      "<chrono>"};
+  for (std::size_t i = 0; i < file.code.size(); ++i) {
+    const std::string& code = file.code[i];
+    std::size_t pos = code.find_first_not_of(' ');
+    if (pos == std::string::npos || code[pos] != '#') continue;
+    pos = code.find_first_not_of(' ', pos + 1);
+    if (pos == std::string::npos || code.compare(pos, 7, "include") != 0)
+      continue;
+    const std::string& raw = file.raw_lines[i];
+    const std::size_t open = raw.find_first_of("\"<", pos + 7);
+    if (open == std::string::npos) continue;
+    for (const std::string& banned : kBanned) {
+      if (raw.compare(open, banned.size(), banned) != 0) continue;
+      if (allows(raw, "sans-io")) continue;
+      out->push_back(
+          {file.path, i + 1, "sans-io",
+           "the round protocol includes " + raw.substr(open) +
+               "; it must stay free of sockets, simulators, threads, locks, "
+               "atomics and clocks so every driver (TCP, one process, a "
+               "simulated network) runs the same state machine"});
+    }
+  }
+}
+
 }  // namespace
 
 AnalyzedFile AnalyzedFile::parse(const SourceFile& file) {
@@ -346,6 +379,7 @@ void check_source_rules(const AnalyzedFile& file, std::vector<Violation>* out) {
   }
 
   check_window_scheduler_ownership(file, out);
+  check_sans_io(file, out);
   check_mutex_annotated(file, out);
   check_nodiscard_status(file, out);
 }

@@ -33,11 +33,11 @@ run_stage relwithdebinfo   # -Werror + sharegrid_analyze + figure shapes
 run_stage release          # -O3 -Werror: GCC inlines more and warns more
 
 # Cross-process control plane: fork a 3-redirector fleet over loopback TCP
-# and require plan convergence (bitwise vs InProcessTransport), then the
-# churn phases — a leaf killed and RESTARTED (the root must prune it and
-# re-admit the higher-incarnation restart at a round boundary) and the root
-# killed (the survivors must elect the lowest live member and resume rounds
-# with monotone tags). ctest already runs the binary once; rerunning it
+# and require plan convergence (bitwise vs a one-process RoundProtocol
+# replay of the same fleet), then the churn phases — a leaf killed and
+# RESTARTED (the root must prune it and re-admit the higher-incarnation
+# restart at a round boundary) and the root killed (the survivors must elect
+# the lowest live member and resume rounds with monotone tags). ctest already runs the binary once; rerunning it
 # standalone keeps the multi-process stage visible in the CI log and gates
 # directly on its exit code.
 echo
@@ -88,7 +88,7 @@ else
   # a report can't hide in the big ctest log (docs/control-plane.md).
   echo "=== [debug-tsan] control plane + live event loops + socket transport ==="
   ./build-tsan/tests/sharegrid_tests \
-    --gtest_filter='ControlPlane.*:ControlPlaneAudit.*:WallClockAdmission.*:EventLoop.*:L7Service.*:L4Proxy.*:Tcp.*:SocketTransport.*:SocketTransportWire.*:SocketTransportAudit.*'
+    --gtest_filter='ControlPlane.*:ControlPlaneAudit.*:WallClockAdmission.*:EventLoop.*:L7Service.*:L4Proxy.*:Tcp.*:RoundProtocol.*:SocketTransport.*:SocketTransportWire.*:SocketTransportAudit.*'
   # The sharded simulation engine runs cluster domains on worker-pool lanes
   # with hand-rolled epoch barriers — exactly the code TSan exists for.
   # Rerun the engine and the cluster-partitioned scenario tests standalone;
