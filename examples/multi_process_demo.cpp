@@ -260,7 +260,6 @@ int run_child(const ScenarioConfig& config,
   options.member_offset = index;
   options.fleet_size = config.redirector_count;
   options.round_period_usec = 2000;
-  options.io_timeout_ms = 20;
   options.allow_nonlocal = config.allow_nonlocal;
   options.election_enabled =
       config.election_enabled && phase == Phase::kElection;

@@ -1,6 +1,9 @@
 #include "coord/session_manager.hpp"
 
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -71,18 +74,14 @@ SessionManager::SessionManager(Options options)
   SHAREGRID_EXPECTS(options_.reconnect_max_usec >=
                     options_.reconnect_base_usec);
   SHAREGRID_EXPECTS(options_.hello_timeout_usec > 0);
-  SHAREGRID_EXPECTS(options_.io_timeout_ms > 0);
   // Every peer entry must parse (and pass the loopback policy) up front,
   // not when first dialed.
   for (const std::string& peer : options_.peers)
     parse_peer(peer, options_.allow_nonlocal);
 }
 
-SessionManager::~SessionManager() { stop(); }
-
 void SessionManager::start() {
-  SHAREGRID_EXPECTS(!running_.load());
-  conn_info_.clear();
+  SHAREGRID_EXPECTS(!listener_.valid());
   events_.clear();
   peers_.assign(fleet_, Peer{});
   const PeerAddr self =
@@ -91,78 +90,48 @@ void SessionManager::start() {
       options_.listen_port != 0 ? options_.listen_port : self.port;
   // Loopback fleets bind loopback; a fleet that opted into non-local peers
   // must accept from other hosts, so it binds the wildcard address.
-  listener_ = options_.allow_nonlocal
-                  ? net::Socket::listen_on("0.0.0.0", port)
-                  : net::Socket::listen_on_loopback(port);
-  listener_.set_read_timeout_ms(options_.io_timeout_ms);
-  listen_port_ = listener_.local_port();
-  running_.store(true);
-  acceptor_ = std::thread([this] { accept_loop(); });
+  listener_ =
+      net::listen_on(options_.allow_nonlocal ? "0.0.0.0" : "127.0.0.1", port);
+  listen_port_ = net::local_port(listener_);
   update_gauge();
 }
 
 void SessionManager::stop() {
-  if (!running_.exchange(false)) return;
-  // Wake every blocked syscall first, then join outside the lock: a reader
-  // that is mid-push into the inbox needs the mutex to finish exiting.
-  if (listener_.valid()) listener_.shutdown();
-  std::vector<std::unique_ptr<Conn>> conns;
-  {
-    const util::MutexLock lock(mutex_);
-    for (const auto& conn : conns_)
-      if (conn) conn->sock.shutdown();
-    conns.swap(conns_);
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  for (const auto& conn : conns)
-    if (conn && conn->reader.joinable()) conn->reader.join();
-  listener_.close();
-  const util::MutexLock lock(mutex_);
-  inbox_.clear();
+  conns_.clear();
+  listener_.reset();
 }
 
-void SessionManager::accept_loop() {
-  while (running_.load()) {
-    net::Socket sock;
-    try {
-      sock = listener_.try_accept();
-    } catch (const ContractViolation&) {
-      if (!running_.load()) break;
-      continue;  // transient accept failure; keep listening
-    }
-    if (!sock.valid()) continue;  // timeout or shutdown wake-up
-    if (!running_.load()) break;
-    sock.set_read_timeout_ms(options_.io_timeout_ms);
-    const util::MutexLock lock(mutex_);
-    auto conn = std::make_unique<Conn>();
-    conn->sock = std::move(sock);
-    Conn* raw = conn.get();
-    const std::size_t index = conns_.size();
-    conns_.push_back(std::move(conn));
-    raw->reader = std::thread([this, raw, index] { reader_loop(raw, index); });
-  }
+void SessionManager::reject(const char* why) {
+  if (options_.on_reject) options_.on_reject(why);
 }
 
-void SessionManager::reader_loop(Conn* conn, std::size_t conn_index) {
-  // Dumb pump: bytes -> frames -> inbox. No protocol state lives here; a
-  // reader cannot race the handshake logic because poll() owns all of it.
-  net::FrameReader frames(/*max_frame_bytes=*/1 << 20);
-  bool abort = false;
-  while (!abort && running_.load()) {
-    const net::ReadResult result = conn->sock.read_some();
-    if (result.status == net::ReadStatus::kTimedOut) continue;
-    if (result.status == net::ReadStatus::kClosed) break;
-    frames.feed(result.data);
+std::size_t SessionManager::add_conn(net::Fd socket) {
+  std::size_t index = 0;
+  while (index < conns_.size() && conns_[index].socket.valid()) ++index;
+  if (index == conns_.size()) conns_.emplace_back();
+  conns_[index].socket = std::move(socket);
+  return index;
+}
+
+void SessionManager::drain(std::size_t conn_index, std::int64_t now_usec) {
+  char chunk[16 * 1024];
+  for (;;) {
+    const ssize_t n =
+        ::recv(conns_[conn_index].socket.get(), chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) return handle_closed(conn_index, now_usec);
+    conns_[conn_index].frames.feed(
+        std::string_view(chunk, static_cast<std::size_t>(n)));
     std::string payload;
-    while (!abort) {
-      const net::FrameReader::Event event = frames.next(&payload);
+    for (;;) {
+      const net::FrameReader::Event event =
+          conns_[conn_index].frames.next(&payload);
       if (event == net::FrameReader::Event::kNeedMore) break;
       if (event == net::FrameReader::Event::kOversized) {
         // Framing is unrecoverable: count it and drop the connection.
         reject("oversized length prefix");
-        conn->sock.shutdown();
-        abort = true;
-        break;
+        return handle_closed(conn_index, now_usec);
       }
       wire::Frame frame;
       const wire::DecodeStatus status = wire::decode(payload, &frame);
@@ -170,88 +139,74 @@ void SessionManager::reader_loop(Conn* conn, std::size_t conn_index) {
         reject(wire::to_string(status));
         continue;
       }
-      const util::MutexLock lock(mutex_);
-      inbox_.push_back({conn_index, false, std::move(frame)});
+      handle_frame(conn_index, std::move(frame), now_usec);
+      // The frame may have closed its own connection (a collision loser,
+      // a zombie); what else it carried goes with it.
+      if (!conns_[conn_index].socket.valid()) return;
     }
+    if (static_cast<std::size_t>(n) < sizeof chunk) return;  // drained
   }
-  conn->closed.store(true);
-  const util::MutexLock lock(mutex_);
-  inbox_.push_back({conn_index, true, {}});
 }
 
-void SessionManager::reject(const char* why) {
-  if (options_.on_reject) options_.on_reject(why);
-}
-
-std::vector<SessionManager::Inbound> SessionManager::take_inbox() {
-  const util::MutexLock lock(mutex_);
-  std::vector<Inbound> taken;
-  taken.swap(inbox_);
-  return taken;
-}
-
-SessionManager::ConnInfo& SessionManager::info(std::size_t conn_index) {
-  if (conn_index >= conn_info_.size()) conn_info_.resize(conn_index + 1);
-  ConnInfo& ci = conn_info_[conn_index];
-  if (!ci.known) {
-    ci.known = true;
-    ci.open = true;  // first sighting: an accepted conn, not yet helloed
+void SessionManager::handle_frame(std::size_t conn_index, wire::Frame frame,
+                                  std::int64_t now_usec) {
+  if (frame.type == wire::FrameType::kHello)
+    return handle_hello(conn_index, frame, now_usec);
+  const std::size_t p = conns_[conn_index].peer;
+  if (p == kNoConn || peers_[p].conn != conn_index ||
+      peers_[p].state != SessionState::kEstablished) {
+    reject("frame before hello");
+    return;
   }
-  return ci;
+  events_.push_back({Event::Kind::kFrame, p, 0, 0, std::move(frame)});
 }
 
-std::size_t SessionManager::adopt_socket(net::Socket sock) {
-  const util::MutexLock lock(mutex_);
-  auto conn = std::make_unique<Conn>();
-  conn->sock = std::move(sock);
-  Conn* raw = conn.get();
-  const std::size_t index = conns_.size();
-  conns_.push_back(std::move(conn));
-  raw->reader = std::thread([this, raw, index] { reader_loop(raw, index); });
-  return index;
+void SessionManager::finish_dial(std::size_t conn_index,
+                                 std::int64_t now_usec) {
+  Conn& conn = conns_[conn_index];
+  if (net::connect_error(conn.socket) == 0) {
+    conn.connecting = false;  // the queued HELLO goes out in this poll()
+    return;
+  }
+  const std::size_t p = conn.peer;
+  peers_[p].conn = kNoConn;
+  close_conn(conn_index);
+  note_refusal(p, now_usec);
 }
 
 void SessionManager::send_on_conn(std::size_t conn_index,
                                   const std::string& bytes) {
-  const util::MutexLock lock(mutex_);
-  if (conn_index >= conns_.size() || !conns_[conn_index]) return;
-  Conn* conn = conns_[conn_index].get();
-  if (conn->closed.load()) return;
-  try {
-    conn->sock.write_frame(bytes);
-  } catch (const ContractViolation&) {
-    conn->closed.store(true);  // peer died mid-send; its reader notices too
+  Conn& conn = conns_[conn_index];
+  if (conn.broken) return;
+  net::append_frame(&conn.unsent, bytes);
+  if (!conn.connecting) flush(conn);
+  if (conn.unsent.size() > net::kMaxFrameBytes) {
+    // The peer stopped reading: waiting on it would stall every other
+    // peer, so it is lost instead.
+    conn.broken = true;
+    conn.unsent.clear();
   }
+}
+
+void SessionManager::flush(Conn& conn) {
+  if (conn.unsent.empty()) return;
+  const ssize_t n =
+      net::send_some(conn.socket, conn.unsent.data(), conn.unsent.size());
+  if (n < 0)
+    conn.broken = true;  // peer died mid-send; poll() reports the loss
+  else
+    conn.unsent.erase(0, static_cast<std::size_t>(n));
 }
 
 void SessionManager::close_conn(std::size_t conn_index) {
-  info(conn_index).open = false;
-  const util::MutexLock lock(mutex_);
-  if (conn_index < conns_.size() && conns_[conn_index])
-    conns_[conn_index]->sock.shutdown();
-  // The reader observes the shutdown, queues its disconnect note, and the
-  // slot is reclaimed when that note is handled.
-}
-
-void SessionManager::reclaim_conn(std::size_t conn_index) {
-  std::unique_ptr<Conn> conn;
-  {
-    const util::MutexLock lock(mutex_);
-    if (conn_index < conns_.size()) conn.swap(conns_[conn_index]);
-  }
-  // The reader queued the disconnect note as its last act, so this join
-  // returns promptly; freeing the slot afterwards is what keeps a churning
-  // fleet from accumulating one dead Conn per rejoin forever.
-  if (conn && conn->reader.joinable()) conn->reader.join();
+  conns_[conn_index] = Conn();
 }
 
 void SessionManager::handle_closed(std::size_t conn_index,
                                    std::int64_t now_usec) {
-  ConnInfo& ci = info(conn_index);
-  ci.open = false;
-  reclaim_conn(conn_index);
-  const std::size_t p = ci.peer;
-  if (p == kNoConn || p >= fleet_ || peers_[p].conn != conn_index) return;
+  const std::size_t p = conns_[conn_index].peer;
+  close_conn(conn_index);
+  if (p == kNoConn || peers_[p].conn != conn_index) return;
   Peer& peer = peers_[p];
   peer.conn = kNoConn;
   const bool was_established = peer.state == SessionState::kEstablished;
@@ -305,12 +260,9 @@ void SessionManager::establish(std::size_t peer_index, std::size_t conn_index,
   }
   if (peer.conn != kNoConn && peer.conn != conn_index) {
     // Replacing an existing session (rejoin with a fresh incarnation, or a
-    // collision resolved toward this conn): unbind first so the old conn's
-    // disconnect note does not read as a peer loss.
-    const std::size_t old = peer.conn;
+    // collision resolved toward this conn): closing it is not a peer loss.
+    close_conn(peer.conn);
     peer.conn = kNoConn;
-    info(old).peer = kNoConn;
-    close_conn(old);
     if (peer.state == SessionState::kEstablished) update_gauge();
   }
   const bool rejoined = peer.ever_established;
@@ -321,7 +273,7 @@ void SessionManager::establish(std::size_t peer_index, std::size_t conn_index,
   peer.aux = aux;
   peer.backoff_usec = 0;
   if (rejoined) {
-    reconnects_.fetch_add(1, std::memory_order_relaxed);
+    ++reconnects_;
     reconnects_counter().add();
   }
   events_.push_back({Event::Kind::kPeerUp, peer_index, incarnation, aux, {}});
@@ -331,34 +283,30 @@ void SessionManager::establish(std::size_t peer_index, std::size_t conn_index,
 void SessionManager::handle_hello(std::size_t conn_index,
                                   const wire::Frame& frame,
                                   std::int64_t now_usec) {
-  ConnInfo& ci = info(conn_index);
-  if (!ci.open) return;  // already closed this poll
+  Conn& conn = conns_[conn_index];
   const std::size_t p = frame.member;
   if (p >= fleet_ || p == options_.self_index) {
     reject("hello member out of range");
-    close_conn(conn_index);
+    handle_closed(conn_index, now_usec);
     return;
   }
   Peer& peer = peers_[p];
-  if (ci.outbound) {
-    if (ci.peer != p) {
+  if (conn.outbound) {
+    if (conn.peer != p) {
       reject("hello identity mismatch");
-      if (ci.peer != kNoConn && peers_[ci.peer].conn == conn_index)
-        peers_[ci.peer].conn = kNoConn;
-      ci.peer = kNoConn;
+      if (conn.peer != kNoConn && peers_[conn.peer].conn == conn_index)
+        peers_[conn.peer].conn = kNoConn;
       close_conn(conn_index);
       return;
     }
     if (peer.conn != kNoConn && peer.conn != conn_index && p < options_.self_index) {
       // Collision: for a pair of processes the session dialed by the
       // lower-index one wins, and that is the peer's dial, not ours.
-      ci.peer = kNoConn;
       close_conn(conn_index);
       return;
     }
     if (frame.incarnation < peer.incarnation) {
       reject("stale incarnation hello");
-      ci.peer = kNoConn;
       if (peer.conn == conn_index) peer.conn = kNoConn;
       close_conn(conn_index);
       note_refusal(p, now_usec);
@@ -372,11 +320,11 @@ void SessionManager::handle_hello(std::size_t conn_index,
     // A process we have already seen at a higher incarnation is a zombie
     // instance of that peer; its session must not displace the live one.
     reject("stale incarnation hello");
-    close_conn(conn_index);
+    handle_closed(conn_index, now_usec);
     return;
   }
   if (peer.conn != kNoConn && peer.conn != conn_index &&
-      info(peer.conn).outbound && options_.self_index < p &&
+      conns_[peer.conn].outbound && options_.self_index < p &&
       (peer.state != SessionState::kEstablished ||
        frame.incarnation == peer.incarnation)) {
     // Collision, and our dial wins the lower-index tie-break. Two live
@@ -393,7 +341,7 @@ void SessionManager::handle_hello(std::size_t conn_index,
     close_conn(conn_index);
     return;
   }
-  ci.peer = p;
+  conn.peer = p;
   send_on_conn(conn_index, hello_bytes());  // complete the dialer's handshake
   establish(p, conn_index, frame.incarnation, frame.aux);
 }
@@ -402,19 +350,6 @@ void SessionManager::dial_pass(std::int64_t now_usec) {
   for (std::size_t p = 0; p < fleet_; ++p) {
     if (p == options_.self_index) continue;
     Peer& peer = peers_[p];
-    // A dialed peer that accepted TCP but never answered HELLO counts as a
-    // refusal: a stopped process's kernel happily completes connections.
-    if (peer.wanted && peer.conn != kNoConn &&
-        peer.state != SessionState::kEstablished &&
-        info(peer.conn).outbound && now_usec >= peer.handshake_deadline_usec) {
-      const std::size_t idx = peer.conn;
-      peer.conn = kNoConn;
-      info(idx).peer = kNoConn;
-      close_conn(idx);
-      reject("hello handshake timed out");
-      note_refusal(p, now_usec);
-      continue;
-    }
     if (!peer.wanted || peer.conn != kNoConn ||
         now_usec < peer.next_dial_usec)
       continue;
@@ -422,46 +357,83 @@ void SessionManager::dial_pass(std::int64_t now_usec) {
     if (addr.port == 0) continue;  // undialable (ephemeral); it dials us
     peer.state = peer.ever_established ? SessionState::kRejoining
                                        : SessionState::kConnecting;
-    net::Socket sock;
+    bool pending = false;
+    net::Fd socket;
     try {
-      sock = net::Socket::connect_to(addr.host, addr.port);
+      socket = net::dial(addr.host, addr.port, &pending);
     } catch (const ContractViolation&) {
+      // A non-numeric host (allowed with allow_nonlocal) never connects.
+    }
+    if (!socket.valid()) {
       note_refusal(p, now_usec);
       continue;
     }
-    sock.set_read_timeout_ms(options_.io_timeout_ms);
-    const std::size_t idx = adopt_socket(std::move(sock));
-    ConnInfo& ci = info(idx);
-    ci.outbound = true;
-    ci.peer = p;
-    peer.conn = idx;
+    const std::size_t c = add_conn(std::move(socket));
+    conns_[c].outbound = true;
+    conns_[c].connecting = pending;
+    conns_[c].peer = p;
+    peer.conn = c;
     peer.handshake_deadline_usec = now_usec + options_.hello_timeout_usec;
-    send_on_conn(idx, hello_bytes());
+    send_on_conn(c, hello_bytes());  // queued until the connect completes
+  }
+}
+
+void SessionManager::expire_handshakes(std::int64_t now_usec) {
+  for (std::size_t p = 0; p < fleet_; ++p) {
+    Peer& peer = peers_[p];
+    // A dial still connecting, or one the peer accepted but never answered
+    // HELLO on, counts as a refusal: a stopped process's kernel happily
+    // completes connections.
+    if (!peer.wanted || peer.conn == kNoConn ||
+        peer.state == SessionState::kEstablished ||
+        !conns_[peer.conn].outbound ||
+        now_usec < peer.handshake_deadline_usec)
+      continue;
+    close_conn(peer.conn);
+    peer.conn = kNoConn;
+    reject("hello handshake timed out");
+    note_refusal(p, now_usec);
   }
 }
 
 void SessionManager::poll(std::int64_t now_usec) {
-  if (!running_.load()) return;
-  for (Inbound& in : take_inbox()) {
-    if (in.disconnected) {
-      handle_closed(in.conn_index, now_usec);
-      continue;
-    }
-    if (in.frame.type == wire::FrameType::kHello) {
-      handle_hello(in.conn_index, in.frame, now_usec);
-      continue;
-    }
-    const ConnInfo& ci = info(in.conn_index);
-    if (!ci.open) continue;  // frame raced the close; the session is gone
-    if (ci.peer == kNoConn || peers_[ci.peer].conn != in.conn_index ||
-        peers_[ci.peer].state != SessionState::kEstablished) {
-      reject("frame before hello");
-      continue;
-    }
-    events_.push_back(
-        {Event::Kind::kFrame, ci.peer, 0, 0, std::move(in.frame)});
-  }
+  if (!listener_.valid()) return;
   dial_pass(now_usec);
+  ready_.assign(conns_.size() + 1, pollfd{-1, 0, 0});
+  ready_[0] = {listener_.get(), POLLIN, 0};
+  for (std::size_t c = 0; c < conns_.size(); ++c) {
+    const Conn& conn = conns_[c];
+    if (conn.socket.valid())
+      ready_[c + 1] = {conn.socket.get(),
+                       static_cast<short>(conn.connecting ? POLLOUT : POLLIN),
+                       0};
+  }
+  while (::poll(ready_.data(), ready_.size(), 0) < 0 && errno == EINTR) {
+  }
+  if (ready_[0].revents != 0) {
+    for (;;) {
+      net::Fd socket = net::accept_connection(listener_);
+      if (!socket.valid()) break;
+      add_conn(std::move(socket));
+    }
+  }
+  // Slots opened by the accepts above are polled from the next pass on;
+  // the fd check skips them and any slot closed earlier in this pass.
+  for (std::size_t c = 0; c + 1 < ready_.size(); ++c) {
+    const pollfd& ready = ready_[c + 1];
+    if (ready.revents == 0 || ready.fd != conns_[c].socket.get()) continue;
+    if (conns_[c].connecting)
+      finish_dial(c, now_usec);
+    else
+      drain(c, now_usec);
+  }
+  expire_handshakes(now_usec);
+  for (std::size_t c = 0; c < conns_.size(); ++c) {
+    Conn& conn = conns_[c];
+    if (!conn.socket.valid() || conn.connecting) continue;
+    if (!conn.broken) flush(conn);
+    if (conn.broken) handle_closed(c, now_usec);
+  }
 }
 
 std::vector<SessionManager::Event> SessionManager::take_events() {
@@ -487,9 +459,7 @@ void SessionManager::want(std::size_t peer_index, bool wanted) {
   }
   if (peer.state == SessionState::kEstablished) return;  // session stays
   if (peer.conn != kNoConn) {
-    // Abandon the in-flight dial.
-    info(peer.conn).peer = kNoConn;
-    close_conn(peer.conn);
+    close_conn(peer.conn);  // abandon the in-flight dial
     peer.conn = kNoConn;
   }
   peer.state =
@@ -501,7 +471,6 @@ void SessionManager::disconnect(std::size_t peer_index) {
   Peer& peer = peers_[peer_index];
   if (peer.conn == kNoConn) return;
   const bool was_established = peer.state == SessionState::kEstablished;
-  info(peer.conn).peer = kNoConn;
   close_conn(peer.conn);
   peer.conn = kNoConn;
   peer.state = peer.wanted

@@ -30,13 +30,15 @@
 // lets the election layer read "every lower-id peer refuses my dials" as
 // "every lower-id peer is dead".
 //
-// Threading: identical contract to the rest of the coord stack. Background
-// threads (one acceptor + one reader per connection) only pump bytes into a
-// mutex-guarded inbox; every protocol decision — handshakes, dial pacing,
-// session replacement, event emission — happens inside poll(now_usec) on
-// the caller's thread against the caller's clock. The manager never reads
-// a clock, so backoff and handshake timeouts are deterministic under
-// test-supplied time.
+// Threading: none of its own, the same contract as the rest of the coord
+// stack. Every socket is non-blocking and all I/O happens inside
+// poll(now_usec) on the caller's thread: one zero-timeout poll(2) over the
+// listener and every connection, then accepts, reads and handshakes,
+// finished dials and queued writes. send() writes what the socket takes at
+// once and queues the rest for the next poll(); a peer that stops reading
+// is dropped once its queue passes net::kMaxFrameBytes, so no call ever
+// waits on a peer. The manager never reads a clock, so backoff and
+// handshake timeouts are deterministic under test-supplied time.
 //
 // Simultaneous dials (two processes dialing each other while electing) are
 // broken deterministically: for a pair of processes the session dialed by
@@ -44,17 +46,15 @@
 // connection instead of repeatedly closing each other's.
 #pragma once
 
-#include <atomic>
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "coord/snapshot_wire.hpp"
 #include "net/tcp.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace sharegrid::coord {
 
@@ -94,20 +94,16 @@ class SessionManager {
     /// reconnect_max_usec, resets on an established session.
     std::int64_t reconnect_base_usec = 20000;
     std::int64_t reconnect_max_usec = 320000;
-    /// A dialed peer that accepts TCP but never answers HELLO (e.g. a
-    /// stopped process whose kernel still completes connections) is treated
-    /// as a refusal after this long.
+    /// A dialed peer whose connect is still pending or that accepts TCP but
+    /// never answers HELLO (e.g. a stopped process whose kernel still
+    /// completes connections) is treated as a refusal after this long.
     std::int64_t hello_timeout_usec = 500000;
-    /// Socket receive timeout for the background pumps; bounds stop() join
-    /// latency and how often readers re-check the running flag.
-    int io_timeout_ms = 50;
     /// Opaque payload for our HELLO frames; the transport packs the global
     /// member range it hosts as (member_offset << 32) | member_count.
     std::uint64_t hello_aux = 0;
-    /// Invoked (from poll() or a reader thread — must be thread-safe) for
-    /// every dropped frame: undecodable bytes, zombie HELLOs, pre-HELLO
-    /// frames. The transport points this at its frames_rejected counter so
-    /// one count covers the whole receive path.
+    /// Invoked from poll() for every dropped frame: undecodable bytes,
+    /// zombie HELLOs, pre-HELLO frames. The transport points this at its
+    /// frames_rejected counter so one count covers the whole receive path.
     std::function<void(const char*)> on_reject;
   };
 
@@ -127,15 +123,16 @@ class SessionManager {
   };
 
   explicit SessionManager(Options options);
-  ~SessionManager();
 
-  /// Binds the listener and starts the acceptor. Dials happen in poll().
+  /// Binds the listener. Accepts and dials happen in poll().
   void start();
+  /// Closes the listener and every connection, without events.
   void stop();
 
-  /// Drives dials, handshakes, timeouts and the inbox against the caller's
-  /// monotonic clock. Single poll thread, same contract as
-  /// SocketTransport::poll.
+  /// Does all of the session layer's I/O against the caller's monotonic
+  /// clock: starts due dials, accepts, reads and decodes frames, runs the
+  /// handshakes, finishes dials, times out handshakes and flushes queued
+  /// writes. Single poll thread, same contract as SocketTransport::poll.
   void poll(std::int64_t now_usec);
 
   /// Drains the events poll() produced, in arrival order.
@@ -152,7 +149,10 @@ class SessionManager {
 
   /// Sends one framed message to peer; silently dropped unless established
   /// (the session layer's answer to "the peer is gone" is events, not
-  /// errors on every send site).
+  /// errors on every send site). Never blocks: what the socket does not
+  /// take now is queued, and a hard error or a queue past
+  /// net::kMaxFrameBytes makes the next poll() drop the session
+  /// (kPeerDown, then a redial).
   void send(std::size_t peer, const std::string& bytes);
 
   /// send() to every established peer.
@@ -169,9 +169,7 @@ class SessionManager {
   /// The bound port (after start()); valid with ephemeral binds.
   std::uint16_t listen_port() const { return listen_port_; }
   /// Sessions that re-established after a loss or refusal, fleet-lifetime.
-  std::uint64_t reconnects() const {
-    return reconnects_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t reconnects() const { return reconnects_; }
   /// Distinct peers that have ever reached kEstablished.
   std::size_t peers_ever_established() const;
 
@@ -184,33 +182,20 @@ class SessionManager {
   static PeerAddr parse_peer(const std::string& peer, bool allow_nonlocal);
 
  private:
-  /// One live connection; reader threads hold a stable Conn*. Slots in
-  /// conns_ are reclaimed (joined and freed) from poll() once the reader
-  /// reports the connection closed — dead peers do not leak slots.
-  struct Conn {
-    net::Socket sock;
-    std::thread reader;
-    std::atomic<bool> closed{false};
-  };
-
-  /// A parsed frame (or a disconnect note) queued by a reader thread.
-  struct Inbound {
-    std::size_t conn_index = 0;
-    bool disconnected = false;
-    wire::Frame frame;
-  };
-
   static constexpr std::size_t kNoConn = static_cast<std::size_t>(-1);
 
-  /// poll()-side view of one connection slot (never touched by readers).
-  struct ConnInfo {
-    bool known = false;     ///< poll() has seen this slot
-    bool outbound = false;  ///< we dialed it (peer below is the dial target)
-    bool open = false;
+  /// One connection slot; a slot whose socket is closed is free for reuse.
+  struct Conn {
+    net::Fd socket;
+    net::FrameReader frames;
+    std::string unsent;          ///< framed bytes the socket has not taken
+    bool outbound = false;       ///< we dialed it (peer is the dial target)
+    bool connecting = false;     ///< the non-blocking connect is in flight
+    bool broken = false;         ///< a write failed or overflowed
     std::size_t peer = kNoConn;  ///< bound process index (outbound: target)
   };
 
-  /// poll()-side state for one peer process.
+  /// State of one peer process.
   struct Peer {
     SessionState state = SessionState::kIdle;
     bool wanted = false;
@@ -223,47 +208,35 @@ class SessionManager {
     std::int64_t handshake_deadline_usec = 0;
   };
 
-  void accept_loop() SHAREGRID_EXCLUDES(mutex_);
-  void reader_loop(Conn* conn, std::size_t conn_index)
-      SHAREGRID_EXCLUDES(mutex_);
   void reject(const char* why);
-
-  // poll()-thread only ----------------------------------------------------
-  std::vector<Inbound> take_inbox() SHAREGRID_EXCLUDES(mutex_);
-  ConnInfo& info(std::size_t conn_index);
-  std::size_t adopt_socket(net::Socket sock) SHAREGRID_EXCLUDES(mutex_);
-  void send_on_conn(std::size_t conn_index, const std::string& bytes)
-      SHAREGRID_EXCLUDES(mutex_);
-  void close_conn(std::size_t conn_index) SHAREGRID_EXCLUDES(mutex_);
-  void reclaim_conn(std::size_t conn_index) SHAREGRID_EXCLUDES(mutex_);
+  std::size_t add_conn(net::Fd socket);
+  void drain(std::size_t conn_index, std::int64_t now_usec);
+  void handle_frame(std::size_t conn_index, wire::Frame frame,
+                    std::int64_t now_usec);
+  void finish_dial(std::size_t conn_index, std::int64_t now_usec);
+  void send_on_conn(std::size_t conn_index, const std::string& bytes);
+  void flush(Conn& conn);
+  void close_conn(std::size_t conn_index);
   void handle_closed(std::size_t conn_index, std::int64_t now_usec);
   void handle_hello(std::size_t conn_index, const wire::Frame& frame,
                     std::int64_t now_usec);
   void establish(std::size_t peer, std::size_t conn_index,
                  std::uint64_t incarnation, std::uint64_t aux);
   void dial_pass(std::int64_t now_usec);
+  void expire_handshakes(std::int64_t now_usec);
   void note_refusal(std::size_t peer, std::int64_t now_usec);
   std::string hello_bytes() const;
   void update_gauge() const;
 
   Options options_;
   std::size_t fleet_;  ///< peers.size()
-
-  // Shared between poll(), the acceptor, and the readers.
-  mutable util::Mutex mutex_;
-  std::vector<std::unique_ptr<Conn>> conns_ SHAREGRID_GUARDED_BY(mutex_);
-  std::vector<Inbound> inbox_ SHAREGRID_GUARDED_BY(mutex_);
-
-  net::Socket listener_;  ///< every process listens; shutdown() wakes accept
-  std::thread acceptor_;
-  std::atomic<bool> running_{false};
+  net::Fd listener_;   ///< open between start() and stop()
   std::uint16_t listen_port_ = 0;
-  std::atomic<std::uint64_t> reconnects_{0};
-
-  // poll()-thread only.
-  std::vector<ConnInfo> conn_info_;
+  std::uint64_t reconnects_ = 0;
+  std::vector<Conn> conns_;
   std::vector<Peer> peers_;
   std::vector<Event> events_;
+  std::vector<pollfd> ready_;  ///< poll(2) set: the listener, then conns_
 };
 
 const char* to_string(SessionManager::SessionState state);

@@ -52,7 +52,6 @@ SocketTransport::SocketTransport(std::size_t local_member_count,
                   else
                     session_->send(peer, wire::encode(frame));
                 }) {
-  SHAREGRID_EXPECTS(options.io_timeout_ms > 0);
   SessionManager::Options session;
   session.peers = std::move(options.peers);
   session.self_index = options.process_index;
@@ -61,7 +60,6 @@ SocketTransport::SocketTransport(std::size_t local_member_count,
   session.allow_nonlocal = options.allow_nonlocal;
   session.reconnect_base_usec = options.reconnect_base_usec;
   session.reconnect_max_usec = options.reconnect_max_usec;
-  session.io_timeout_ms = options.io_timeout_ms;
   session.hello_aux =
       (static_cast<std::uint64_t>(options.member_offset) << 32) |
       static_cast<std::uint64_t>(local_member_count);
@@ -69,39 +67,32 @@ SocketTransport::SocketTransport(std::size_t local_member_count,
   session_ = std::make_unique<SessionManager>(std::move(session));
 }
 
-SocketTransport::~SocketTransport() { stop(); }
-
 void SocketTransport::start() {
-  SHAREGRID_EXPECTS(!running_.load());
+  SHAREGRID_EXPECTS(!running_);
   protocol_.start();
   session_->start();
   // Full mesh: any process may need to reach any other (reports to a future
   // root, refusal evidence from dead lower-index peers during an election).
   for (std::size_t p = 0; p < protocol_.process_count(); ++p)
     if (p != protocol_.options().process_index) session_->want(p, true);
-  running_.store(true);
+  running_ = true;
 }
 
 void SocketTransport::stop() {
-  if (!running_.exchange(false)) return;
+  if (!running_) return;
+  running_ = false;
   protocol_.stop();
   session_->stop();
 }
 
 void SocketTransport::reject_frame(const char* why) {
-  session_rejects_.fetch_add(1, std::memory_order_relaxed);
+  ++session_rejects_;
   rejected_counter().add();
-  const util::MutexLock lock(mutex_);
   last_reject_reason_ = why;
 }
 
-std::string SocketTransport::last_reject_reason() const {
-  const util::MutexLock lock(mutex_);
-  return last_reject_reason_;
-}
-
 void SocketTransport::poll(std::int64_t now_usec) {
-  if (!running_.load()) return;
+  if (!running_) return;
   session_->poll(now_usec);
   for (SessionManager::Event& event : session_->take_events()) {
     switch (event.kind) {
@@ -125,10 +116,8 @@ void SocketTransport::poll(std::int64_t now_usec) {
 }
 
 void SocketTransport::mirror_counters() {
-  if (protocol_.frames_rejected() > mirrored_rejects_) {
-    const util::MutexLock lock(mutex_);
+  if (protocol_.frames_rejected() > mirrored_rejects_)
     last_reject_reason_ = protocol_.last_reject_reason();
-  }
   mirror(rejected_counter(), protocol_.frames_rejected(), &mirrored_rejects_);
   mirror(abandoned_counter(), protocol_.rounds_abandoned(),
          &mirrored_abandoned_);

@@ -9,14 +9,13 @@
 // encodes the frames the protocol sends onto the sessions, and mirrors the
 // protocol's counters into the metrics registry.
 //
-// Threading: SessionManager's background threads only pump bytes; all
-// semantics run inside poll(now_usec) on the caller's thread against the
-// caller's monotonic clock, so deadlines, lease expiry and elections are
-// deterministic under test-supplied time. The counters below are read on
-// the poll thread (or after stop()).
+// Threading: none. SessionManager does all of its socket I/O inside poll()
+// as well, so every byte moved and every protocol decision happen inside
+// poll(now_usec) on the caller's thread against the caller's monotonic
+// clock; deadlines, lease expiry and elections are deterministic under
+// test-supplied time.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,7 +25,6 @@
 #include "coord/round_protocol.hpp"
 #include "coord/session_manager.hpp"
 #include "coord/snapshot_transport.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace sharegrid::coord {
 
@@ -51,14 +49,13 @@ class SocketTransport final : public SnapshotTransport {
     /// doubling up to reconnect_max_usec, reset on an established session.
     std::int64_t reconnect_base_usec = 20000;
     std::int64_t reconnect_max_usec = 320000;
-    /// Socket receive timeout for the background pumps; bounds stop() join
-    /// latency and how often readers re-check the running flag.
+    /// Ignored: the session layer never blocks on a read. Still declared
+    /// so that callers which set it keep compiling.
     int io_timeout_ms = 50;
   };
 
   SocketTransport(std::size_t local_member_count, std::size_t vector_size,
                   Options options);
-  ~SocketTransport() override;
 
   void attach(std::size_t member, Provider provider,
               Receiver receiver) override {
@@ -109,28 +106,25 @@ class SocketTransport final : public SnapshotTransport {
   /// missing hellos) plus those the protocol rejected; mirrored into the
   /// metrics registry as coord.socket.frames_rejected.
   std::uint64_t frames_rejected() const {
-    return session_rejects_.load(std::memory_order_relaxed) +
-           protocol_.frames_rejected();
+    return session_rejects_ + protocol_.frames_rejected();
   }
   /// Why the most recent frame was rejected ("" if none yet).
-  std::string last_reject_reason() const SHAREGRID_EXCLUDES(mutex_);
+  const std::string& last_reject_reason() const { return last_reject_reason_; }
 
  private:
-  /// The session layer's reject hook; called from reader threads too.
-  void reject_frame(const char* why) SHAREGRID_EXCLUDES(mutex_);
+  /// The session layer's reject hook.
+  void reject_frame(const char* why);
   /// Adds the protocol's counter growth since the last poll to the
   /// metrics registry.
-  void mirror_counters() SHAREGRID_EXCLUDES(mutex_);
+  void mirror_counters();
 
   RoundProtocol protocol_;
   std::unique_ptr<SessionManager> session_;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> session_rejects_{0};
+  bool running_ = false;
+  std::uint64_t session_rejects_ = 0;
+  std::string last_reject_reason_;
 
-  mutable util::Mutex mutex_;
-  std::string last_reject_reason_ SHAREGRID_GUARDED_BY(mutex_);
-
-  // Protocol counter values already mirrored (poll() thread only).
+  // Protocol counter values already mirrored.
   std::uint64_t mirrored_rejects_ = 0;
   std::uint64_t mirrored_abandoned_ = 0;
   std::uint64_t mirrored_stale_ = 0;

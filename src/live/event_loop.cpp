@@ -1,11 +1,7 @@
 #include "live/event_loop.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -46,82 +42,7 @@ std::int64_t steady_ms() {
       .count();
 }
 
-sockaddr_in loopback(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
 }  // namespace
-
-void Fd::reset() {
-  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
-}
-
-Fd listen_loopback() {
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) fail("socket");
-  const int one = 1;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr = loopback(0);
-  if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
-    fail("bind");
-  if (::listen(fd.get(), SOMAXCONN) != 0) fail("listen");
-  return fd;
-}
-
-std::uint16_t local_port(const Fd& listener) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  if (::getsockname(listener.get(), reinterpret_cast<sockaddr*>(&addr),
-                    &len) != 0)
-    fail("getsockname");
-  return ntohs(addr.sin_port);
-}
-
-Fd accept_connection(const Fd& listener) {
-  for (;;) {
-    const int fd = ::accept4(listener.get(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd >= 0) {
-      set_nodelay(fd);
-      return Fd(fd);
-    }
-    // EINTR and a connection aborted while queued: try the next one. Any
-    // other error (EAGAIN when the queue is empty, or fd exhaustion) ends
-    // this round of accepts; the listener stays readable for the next.
-    if (errno != EINTR && errno != ECONNABORTED) return Fd();
-  }
-}
-
-Fd dial_loopback(std::uint16_t port, bool* pending) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) return fd;
-  set_nodelay(fd.get());
-  sockaddr_in addr = loopback(port);
-  int rc;
-  do {
-    rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  } while (rc != 0 && errno == EINTR);
-  *pending = rc != 0 && errno == EINPROGRESS;
-  if (rc != 0 && !*pending) fd.reset();
-  return fd;
-}
-
-int connect_error(const Fd& socket) {
-  int error = 0;
-  socklen_t len = sizeof error;
-  if (::getsockopt(socket.get(), SOL_SOCKET, SO_ERROR, &error, &len) != 0)
-    return errno;
-  return error;
-}
 
 EventLoop::EventLoop()
     : epoll_(::epoll_create1(EPOLL_CLOEXEC)), wake_(::eventfd(0, EFD_CLOEXEC)) {

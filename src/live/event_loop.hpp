@@ -17,49 +17,11 @@
 
 #include <cstdint>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "net/tcp.hpp"
+
 namespace sharegrid::live {
-
-/// Owning file descriptor: closes on destruction, move-only.
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(Fd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
-  Fd& operator=(Fd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = std::exchange(other.fd_, -1);
-    }
-    return *this;
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-
-  int get() const { return fd_; }
-  bool valid() const { return fd_ >= 0; }
-  void reset();
-
- private:
-  int fd_ = -1;
-};
-
-/// A non-blocking listener on 127.0.0.1 at an ephemeral port.
-Fd listen_loopback();
-/// The port @p listener is bound to.
-std::uint16_t local_port(const Fd& listener);
-/// Accepts one pending connection as a non-blocking, TCP_NODELAY socket;
-/// an invalid Fd when none is pending.
-Fd accept_connection(const Fd& listener);
-/// Starts a non-blocking dial of 127.0.0.1:@p port. Returns an invalid Fd
-/// when the dial failed at once; otherwise *@p pending says whether the
-/// handshake is still in flight (wait for EPOLLOUT, then connect_error()).
-Fd dial_loopback(std::uint16_t port, bool* pending);
-/// Outcome of a finished non-blocking dial: 0 when connected, else errno.
-int connect_error(const Fd& socket);
 
 /// How long the live services let a connection stay quiet before the idle
 /// sweep tears it down.
@@ -137,8 +99,8 @@ class EventLoop {
     std::uint32_t generation = 0;
   };
 
-  Fd epoll_;
-  Fd wake_;  ///< eventfd: stop() writes it, the loop returns on it
+  net::Fd epoll_;
+  net::Fd wake_;  ///< eventfd: stop() writes it, the loop returns on it
   std::vector<Slot> slots_;  ///< indexed by fd
   std::thread thread_;       ///< last: run() uses every member above
 };

@@ -10,21 +10,6 @@
 #include "util/assert.hpp"
 
 namespace sharegrid::live {
-namespace {
-
-/// Sends as much of @p data as @p to takes now. Returns the bytes sent, or
-/// -1 on a hard error (the peer is gone).
-ssize_t send_some(const Fd& to, const char* data, std::size_t size) {
-  for (;;) {
-    const ssize_t n = ::send(to.get(), data, size, MSG_NOSIGNAL);
-    if (n >= 0) return n;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
-    if (errno != EINTR) return -1;
-  }
-}
-
-}  // namespace
-
 /// One admitted connection pinned to its backend: a pipe each way. A pipe
 /// copies bytes straight from its source socket to its sink; what the sink
 /// cannot take yet waits in the pipe, and while it waits the source is not
@@ -34,7 +19,7 @@ ssize_t send_some(const Fd& to, const char* data, std::size_t size) {
 /// when either socket fails, or when the idle sweep finds it quiet.
 class L4Proxy::Relay final : public EventLoop::Handler {
  public:
-  Relay(L4Proxy* proxy, Fd client, Fd backend, bool connected)
+  Relay(L4Proxy* proxy, net::Fd client, net::Fd backend, bool connected)
       : proxy_(proxy), connected_(connected) {
     client_.socket = std::move(client);
     backend_.socket = std::move(backend);
@@ -77,7 +62,7 @@ class L4Proxy::Relay final : public EventLoop::Handler {
  private:
   /// One socket of the relay.
   struct Side {
-    Fd socket;
+    net::Fd socket;
     std::uint32_t events = 0;  ///< the mask the loop watches
     bool watched = false;
   };
@@ -91,7 +76,7 @@ class L4Proxy::Relay final : public EventLoop::Handler {
   bool backend_ready(std::uint32_t events) {
     if (!connected_) {
       // The dial finished; close_relay() counts a failed one as refused.
-      if (connect_error(backend_.socket) != 0) return false;
+      if (net::connect_error(backend_.socket) != 0) return false;
       connected_ = true;
       ++proxy_->admitted_;
       return send_pending(backend_, up_);
@@ -135,7 +120,7 @@ class L4Proxy::Relay final : public EventLoop::Handler {
       }
       const auto got = static_cast<std::size_t>(n);
       const ssize_t sent = pipe.pending.empty() && open(to)
-                               ? send_some(to.socket, buffer, got)
+                               ? net::send_some(to.socket, buffer, got)
                                : 0;
       if (sent < 0) return false;
       pipe.pending.append(buffer + sent, got - static_cast<std::size_t>(sent));
@@ -148,7 +133,7 @@ class L4Proxy::Relay final : public EventLoop::Handler {
   static bool send_pending(Side& to, Pipe& pipe) {
     if (!pipe.pending.empty()) {
       const ssize_t n =
-          send_some(to.socket, pipe.pending.data(), pipe.pending.size());
+          net::send_some(to.socket, pipe.pending.data(), pipe.pending.size());
       if (n < 0) return false;
       pipe.pending.erase(0, static_cast<std::size_t>(n));
     }
@@ -217,7 +202,7 @@ L4Proxy::~L4Proxy() { stop(); }
 void L4Proxy::start() {
   SHAREGRID_EXPECTS(!running_);
   for (std::size_t i = 0; i < config_.services.size(); ++i) {
-    listeners_.push_back(listen_loopback());
+    listeners_.push_back(net::listen_on());
     loop_.watch(listeners_.back().get(), EPOLLIN, this);
   }
   admission_.reset_clock();
@@ -235,7 +220,7 @@ void L4Proxy::stop() {
 
 std::uint16_t L4Proxy::service_port(std::size_t index) const {
   SHAREGRID_EXPECTS(index < listeners_.size());
-  return local_port(listeners_[index]);
+  return net::local_port(listeners_[index]);
 }
 
 void L4Proxy::on_ready(int fd, std::uint32_t) {
@@ -252,7 +237,7 @@ void L4Proxy::on_failure() {
 void L4Proxy::accept_all(std::size_t service_index) {
   const Service& service = config_.services[service_index];
   for (;;) {
-    Fd client = accept_connection(listeners_[service_index]);
+    net::Fd client = net::accept_connection(listeners_[service_index]);
     if (!client.valid()) return;
     // The SYN analogue: admit or refuse the whole connection. Closing the
     // socket tells the client to retry.
@@ -261,7 +246,7 @@ void L4Proxy::accept_all(std::size_t service_index) {
       continue;
     }
     bool pending = false;
-    Fd backend = dial_loopback(service.backend_port, &pending);
+    net::Fd backend = net::dial("127.0.0.1", service.backend_port, &pending);
     if (!backend.valid()) {
       ++refused_;  // backend down
       continue;

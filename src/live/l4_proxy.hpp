@@ -81,7 +81,7 @@ class L4Proxy : private EventLoop::Handler {
   Config config_;
   WallClockAdmission admission_;
 
-  std::vector<Fd> listeners_;  ///< one per service, in config order
+  std::vector<net::Fd> listeners_;  ///< one per service, in config order
   /// Open relays indexed by their client fd; touched by the loop thread
   /// only.
   std::vector<std::unique_ptr<Relay>> relays_;

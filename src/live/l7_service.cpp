@@ -21,7 +21,7 @@ constexpr std::size_t kMaxHead = 64 * 1024;
 /// One client: reads its request head, then writes the reply and closes.
 class L7Service::Connection final : public EventLoop::Handler {
  public:
-  Connection(L7Service* service, Fd socket)
+  Connection(L7Service* service, net::Fd socket)
       : service_(service), socket_(std::move(socket)) {}
 
   int fd() const { return socket_.get(); }
@@ -74,22 +74,21 @@ class L7Service::Connection final : public EventLoop::Handler {
   /// client is gone, and otherwise waits for EPOLLOUT.
   void write_reply() {
     while (sent_ < reply_.size()) {
-      const ssize_t n = ::send(fd(), reply_.data() + sent_,
-                               reply_.size() - sent_, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const ssize_t n = net::send_some(socket_, reply_.data() + sent_,
+                                       reply_.size() - sent_);
+      if (n < 0) break;  // the client is gone
+      if (n == 0) {
         if (!waiting_to_write_) service_->loop_.rewatch(fd(), EPOLLOUT);
         waiting_to_write_ = true;
         return;
       }
-      if (n < 0) break;  // the client is gone
       sent_ += static_cast<std::size_t>(n);
     }
     service_->close_connection(fd());  // destroys *this
   }
 
   L7Service* service_;
-  Fd socket_;
+  net::Fd socket_;
   std::string head_;
   std::string reply_;  ///< empty until the head is decided
   std::size_t sent_ = 0;
@@ -111,8 +110,8 @@ L7Service::~L7Service() { stop(); }
 
 void L7Service::start() {
   SHAREGRID_EXPECTS(!running_);
-  listener_ = listen_loopback();
-  port_ = local_port(listener_);
+  listener_ = net::listen_on();
+  port_ = net::local_port(listener_);
   self_host_ = "127.0.0.1:" + std::to_string(port_);
   loop_.watch(listener_.get(), EPOLLIN, this);
   admission_.reset_clock();
@@ -130,7 +129,7 @@ void L7Service::stop() {
 
 void L7Service::on_ready(int, std::uint32_t) {
   for (;;) {
-    Fd socket = accept_connection(listener_);
+    net::Fd socket = net::accept_connection(listener_);
     if (!socket.valid()) return;
     const auto slot = static_cast<std::size_t>(socket.get());
     auto connection = std::make_unique<Connection>(this, std::move(socket));

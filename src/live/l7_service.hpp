@@ -85,7 +85,7 @@ class L7Service : private EventLoop::Handler {
   Config config_;
   WallClockAdmission admission_;
 
-  Fd listener_;
+  net::Fd listener_;
   std::uint16_t port_ = 0;
   std::string self_host_;  ///< "127.0.0.1:<port>", the self-redirect host
   /// Open connections indexed by fd; touched by the loop thread only.

@@ -8,7 +8,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
 #include "util/assert.hpp"
 
@@ -48,42 +47,118 @@ ssize_t recv_retry(int fd, char* buf, std::size_t len) {
 /// behind the peer's delayed ACK, which is longer than a snapshot deadline.
 void set_nodelay(int fd) {
   const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
+/// A TCP listener of socket(2) @p flags bound to @p host:@p port.
+Fd open_listener(const std::string& host, std::uint16_t port, int flags,
+                 int backlog) {
+  const sockaddr_in addr = numeric_ipv4(host, port);
+  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | flags, 0));
+  if (!fd.valid()) fail("socket");
+  const int one = 1;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+             sizeof addr) != 0)
+    fail("bind");
+  if (::listen(fd.get(), backlog) != 0) fail("listen");
+  return fd;
+}
+
+/// A TCP_NODELAY socket of socket(2) @p flags with its connect() to @p host:
+/// @p port issued; *@p error is 0 or the errno of socket() or connect().
+Fd open_dial(const std::string& host, std::uint16_t port, int flags,
+             int* error) {
+  const sockaddr_in addr = numeric_ipv4(host, port);
+  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | flags, 0));
+  if (!fd.valid()) {
+    *error = errno;
+    return fd;
+  }
+  set_nodelay(fd.get());
+  int rc;
+  do {
+    rc = ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr);
+  } while (rc != 0 && errno == EINTR);
+  *error = rc == 0 ? 0 : errno;
+  return fd;
+}
+
+/// Applies the default 5 s receive timeout of a blocking Socket.
+void set_default_timeout(int fd) {
+  timeval tv{};
+  tv.tv_sec = 5;  // generous for loopback; prevents test hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
 }  // namespace
 
-Socket::~Socket() { close(); }
+void Fd::reset() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
+}
 
-Socket::Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+Fd listen_on(const std::string& host, std::uint16_t port) {
+  return open_listener(host, port, SOCK_NONBLOCK, SOMAXCONN);
+}
 
-Socket& Socket::operator=(Socket&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+std::uint16_t local_port(const Fd& socket) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  if (::getsockname(socket.get(), reinterpret_cast<sockaddr*>(&addr), &len) !=
+      0)
+    fail("getsockname");
+  return ntohs(addr.sin_port);
+}
+
+Fd accept_connection(const Fd& listener) {
+  for (;;) {
+    const int fd = ::accept4(listener.get(), nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return Fd(fd);
+    }
+    // EINTR and a connection aborted while queued: try the next one. Any
+    // other error (EAGAIN when the queue is empty, or fd exhaustion) ends
+    // this round of accepts; the listener stays readable for the next.
+    if (errno != EINTR && errno != ECONNABORTED) return Fd();
   }
-  return *this;
 }
 
-void Socket::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+Fd dial(const std::string& host, std::uint16_t port, bool* pending) {
+  int error = 0;
+  Fd fd = open_dial(host, port, SOCK_NONBLOCK, &error);
+  *pending = error == EINPROGRESS;
+  if (error != 0 && !*pending) fd.reset();
+  return fd;
+}
+
+int connect_error(const Fd& socket) {
+  int error = 0;
+  socklen_t len = sizeof error;
+  if (::getsockopt(socket.get(), SOL_SOCKET, SO_ERROR, &error, &len) != 0)
+    return errno;
+  return error;
+}
+
+ssize_t send_some(const Fd& to, const char* data, std::size_t size) {
+  for (;;) {
+    const ssize_t n = ::send(to.get(), data, size, MSG_NOSIGNAL);
+    if (n >= 0) return n;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    if (errno != EINTR) return -1;
   }
 }
 
-void Socket::shutdown() const {
-  // Failure (e.g. ENOTCONN on an already-reset peer) is harmless: the goal
-  // is only to wake any blocked reader, and a dead connection already does.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+void append_frame(std::string* out, std::string_view payload) {
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  for (int shift = 0; shift < 32; shift += 8)
+    out->push_back(static_cast<char>((len >> shift) & 0xff));
+  out->append(payload);
 }
 
-void Socket::set_read_timeout(int fd) {
-  timeval tv{};
-  tv.tv_sec = 5;  // generous for loopback; prevents test hangs
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
+Socket::Socket(Fd fd) : fd_(std::move(fd)) { set_default_timeout(fd_.get()); }
 
 void Socket::set_read_timeout_ms(int timeout_ms) const {
   SHAREGRID_EXPECTS(valid());
@@ -91,91 +166,37 @@ void Socket::set_read_timeout_ms(int timeout_ms) const {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;
   tv.tv_usec = (timeout_ms % 1000) * 1000;
-  setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
 Socket Socket::listen_on_loopback(std::uint16_t port, int backlog) {
-  return listen_on("127.0.0.1", port, backlog);
-}
-
-Socket Socket::listen_on(const std::string& bind_host, std::uint16_t port,
-                         int backlog) {
-  sockaddr_in addr = numeric_ipv4(bind_host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) fail("socket");
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    fail("bind");
-  }
-  if (::listen(fd, backlog) != 0) {
-    ::close(fd);
-    fail("listen");
-  }
-  set_read_timeout(fd);
-  return Socket(fd);
+  return Socket(open_listener("127.0.0.1", port, 0, backlog));
 }
 
 Socket Socket::connect_loopback(std::uint16_t port) {
-  return connect_to("127.0.0.1", port);
-}
-
-Socket Socket::connect_to(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr = numeric_ipv4(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) fail("socket");
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    ::close(fd);
+  int error = 0;
+  Fd fd = open_dial("127.0.0.1", port, 0, &error);
+  if (error != 0) {
+    errno = error;
     fail("connect");
   }
-  set_read_timeout(fd);
-  set_nodelay(fd);
-  return Socket(fd);
+  return Socket(std::move(fd));
 }
 
 Socket Socket::accept() const {
   SHAREGRID_EXPECTS(valid());
   int fd;
   do {
-    fd = ::accept(fd_, nullptr, nullptr);
+    fd = ::accept4(fd_.get(), nullptr, nullptr, SOCK_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) fail("accept");
-  set_read_timeout(fd);
   set_nodelay(fd);
-  return Socket(fd);
-}
-
-Socket Socket::try_accept() const {
-  SHAREGRID_EXPECTS(valid());
-  int fd;
-  do {
-    fd = ::accept(fd_, nullptr, nullptr);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    // EAGAIN/EWOULDBLOCK: the listener's SO_RCVTIMEO expired. EINVAL: the
-    // listener was shutdown() to stop an accept loop. Both are expected
-    // wake-ups, not errors.
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINVAL)
-      return Socket();
-    fail("accept");
-  }
-  set_read_timeout(fd);
-  set_nodelay(fd);
-  return Socket(fd);
+  return Socket(Fd(fd));
 }
 
 std::uint16_t Socket::local_port() const {
   SHAREGRID_EXPECTS(valid());
-  sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    fail("getsockname");
-  return ntohs(addr.sin_port);
+  return net::local_port(fd_);
 }
 
 std::string Socket::read_http_head() const {
@@ -183,7 +204,7 @@ std::string Socket::read_http_head() const {
   std::string buffer;
   char chunk[1024];
   while (buffer.size() < 64 * 1024) {
-    const ssize_t n = recv_retry(fd_, chunk, sizeof(chunk));
+    const ssize_t n = recv_retry(fd_.get(), chunk, sizeof(chunk));
     if (n <= 0) break;  // peer closed, error, or timeout
     buffer.append(chunk, static_cast<std::size_t>(n));
     if (buffer.find("\r\n\r\n") != std::string::npos ||
@@ -196,7 +217,7 @@ std::string Socket::read_http_head() const {
 ReadResult Socket::read_some() const {
   SHAREGRID_EXPECTS(valid());
   char chunk[16 * 1024];
-  const ssize_t n = recv_retry(fd_, chunk, sizeof(chunk));
+  const ssize_t n = recv_retry(fd_.get(), chunk, sizeof(chunk));
   if (n > 0)
     return {std::string(chunk, static_cast<std::size_t>(n)),
             ReadStatus::kData};
@@ -209,8 +230,8 @@ void Socket::write_all(std::string_view data) const {
   SHAREGRID_EXPECTS(valid());
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd_.get(), data.data() + sent, data.size() - sent,
+                             MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;  // interrupted mid-write: retry
     if (n <= 0) fail("send");
     sent += static_cast<std::size_t>(n);
@@ -220,12 +241,7 @@ void Socket::write_all(std::string_view data) const {
 void Socket::write_frame(std::string_view payload) const {
   std::string framed;
   framed.reserve(4 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  framed.push_back(static_cast<char>(len & 0xff));
-  framed.push_back(static_cast<char>((len >> 8) & 0xff));
-  framed.push_back(static_cast<char>((len >> 16) & 0xff));
-  framed.push_back(static_cast<char>((len >> 24) & 0xff));
-  framed.append(payload);
+  append_frame(&framed, payload);
   write_all(framed);
 }
 

@@ -1,13 +1,21 @@
-// Minimal RAII TCP sockets plus length-prefixed framing.
+// The one TCP socket layer: owning descriptors, non-blocking listen/accept/
+// dial for the event-driven owners, a blocking client helper, and the
+// length-prefixed framing the socket control plane rides on.
 //
 // Loopback-first by design: the live service and the socket control plane
 // exist to demonstrate that the scheduling stack drives real processes (as
-// the paper's prototype did), not to be an internet-facing server. The
-// loopback constructors are the default path; connect_to()/listen_on() take
-// an explicit numeric IPv4 address so a second host can be tested, but the
-// coord layer only reaches them behind its allow_nonlocal flag — the
-// loopback validation stays on unless a scenario opts out. Reads carry a
-// timeout so tests can never hang on a stuck peer.
+// the paper's prototype did), not to be an internet-facing server. listen_on()
+// and dial() take an explicit numeric IPv4 address so a second host can be
+// tested, but the coord layer only passes a non-loopback one behind its
+// allow_nonlocal flag — the loopback validation stays on unless a scenario
+// opts out.
+//
+// Two kinds of owner use it. The live services' event loops and the control
+// plane's session layer are non-blocking: they hold Fds from listen_on(),
+// accept_connection() and dial(), and move bytes only when the socket is
+// ready. Tests, examples and the benchmark drive them as clients through
+// the blocking Socket, whose reads carry a timeout so a test can never hang
+// on a stuck peer.
 //
 // This is the bottom networking layer (below both `live` and `coord` in the
 // include DAG, see tools/analyze/include_graph.hpp): the live L4/L7 services
@@ -15,11 +23,69 @@
 // control plane having to depend on the data plane.
 #pragma once
 
+#include <sys/types.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace sharegrid::net {
+
+/// The largest frame FrameReader accepts, and the most unsent bytes the
+/// session layer queues for one peer before it counts the peer as lost.
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
+
+/// Owning file descriptor: closes on destruction, move-only.
+class Fd {
+ public:
+  Fd() = default;
+  explicit Fd(int fd) : fd_(fd) {}
+  ~Fd() { reset(); }
+  Fd(Fd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  Fd& operator=(Fd&& other) noexcept {
+    if (this != &other) {
+      reset();
+      fd_ = std::exchange(other.fd_, -1);
+    }
+    return *this;
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  int get() const { return fd_; }
+  bool valid() const { return fd_ >= 0; }
+  void reset();
+
+ private:
+  int fd_ = -1;
+};
+
+/// A non-blocking listener bound to the numeric IPv4 address @p host
+/// ("0.0.0.0" to accept from any interface) at @p port (0 = ephemeral). No
+/// DNS. Throws ContractViolation on a malformed address or a failed bind.
+Fd listen_on(const std::string& host = "127.0.0.1", std::uint16_t port = 0);
+/// The port @p socket is bound to.
+std::uint16_t local_port(const Fd& socket);
+/// Accepts one pending connection as a non-blocking, TCP_NODELAY socket;
+/// an invalid Fd when none is pending.
+Fd accept_connection(const Fd& listener);
+/// Starts a non-blocking dial of the numeric IPv4 @p host:@p port. Returns
+/// an invalid Fd when the dial failed at once; otherwise *@p pending says
+/// whether the handshake is still in flight (wait until the socket is
+/// writable, then connect_error()). Throws ContractViolation on a malformed
+/// address — peers in a sharing fleet are configuration, not names to
+/// resolve at dial time.
+Fd dial(const std::string& host, std::uint16_t port, bool* pending);
+/// Outcome of a finished non-blocking dial: 0 when connected, else errno.
+int connect_error(const Fd& socket);
+/// Sends as much of @p data as @p to takes now. Returns the bytes sent (0
+/// when the socket would block), or -1 on a hard error (the peer is gone).
+ssize_t send_some(const Fd& to, const char* data, std::size_t size);
+/// Appends a u32 little-endian length prefix and @p payload to @p out. The
+/// receiving side reassembles with FrameReader.
+void append_frame(std::string* out, std::string_view payload);
 
 /// What a read attempt observed. Timeouts and peer closes used to be
 /// conflated (both surfaced as an empty string), which made it impossible
@@ -37,41 +103,21 @@ struct ReadResult {
   ReadStatus status = ReadStatus::kClosed;
 };
 
-/// RAII wrapper over a connected or listening TCP socket on 127.0.0.1.
+/// Blocking client helper over a connected or listening TCP socket on
+/// 127.0.0.1, for the code that drives the services from outside.
 class Socket {
  public:
   Socket() = default;
-  ~Socket();
-
-  Socket(Socket&& other) noexcept;
-  Socket& operator=(Socket&& other) noexcept;
-  Socket(const Socket&) = delete;
-  Socket& operator=(const Socket&) = delete;
 
   /// Creates a listening socket bound to 127.0.0.1:@p port (0 = ephemeral).
   static Socket listen_on_loopback(std::uint16_t port = 0, int backlog = 16);
 
-  /// Connects to 127.0.0.1:@p port.
+  /// Connects to 127.0.0.1:@p port. Throws ContractViolation when refused.
   static Socket connect_loopback(std::uint16_t port);
-
-  /// Creates a listening socket bound to the numeric IPv4 address
-  /// @p bind_host ("0.0.0.0" to accept from any interface). No DNS.
-  static Socket listen_on(const std::string& bind_host, std::uint16_t port,
-                          int backlog = 16);
-
-  /// Connects to the numeric IPv4 address @p host ("10.0.0.2"). No DNS —
-  /// peers in a sharing fleet are configuration, not names to resolve at
-  /// dial time. Throws ContractViolation on a malformed address.
-  static Socket connect_to(const std::string& host, std::uint16_t port);
 
   /// Blocks until a peer connects; the returned socket has the same read
   /// timeout applied. Throws on error or accept timeout.
   Socket accept() const;
-
-  /// Like accept(), but an accept timeout or a shut-down listener yields an
-  /// invalid Socket instead of a throw, so background accept loops can poll
-  /// a stop flag between attempts. Still throws on unexpected errors.
-  Socket try_accept() const;
 
   /// Port this socket is bound to (listening sockets).
   std::uint16_t local_port() const;
@@ -90,8 +136,7 @@ class Socket {
   /// ContractViolation on a hard error).
   void write_all(std::string_view data) const;
 
-  /// Writes a u32 little-endian length prefix followed by @p payload.
-  /// The receiving side reassembles with FrameReader.
+  /// Writes one length-prefixed frame (append_frame) of @p payload.
   void write_frame(std::string_view payload) const;
 
   /// Overrides the default 5 s receive timeout (also paces accept() on
@@ -99,32 +144,25 @@ class Socket {
   /// stalled-peer paths without multi-second waits.
   void set_read_timeout_ms(int timeout_ms) const;
 
-  /// Disables further sends and receives without releasing the fd: any
-  /// thread blocked in recv()/accept() on this socket wakes up and observes
-  /// kClosed. This is how owners stop background reader threads; close()
-  /// alone must not be called while another thread reads the same fd.
-  void shutdown() const;
-
-  bool valid() const { return fd_ >= 0; }
-  void close();
+  bool valid() const { return fd_.valid(); }
+  void close() { fd_.reset(); }
 
  private:
-  explicit Socket(int fd) : fd_(fd) {}
-  static void set_read_timeout(int fd);
+  explicit Socket(Fd fd);
 
-  int fd_ = -1;
+  Fd fd_;
 };
 
-/// Incremental decoder for the u32-length-prefixed frames produced by
-/// Socket::write_frame. Feed it whatever read_some() returns — TCP is free
-/// to dribble a frame one byte at a time or to coalesce several — and pull
-/// complete frames out with next().
+/// Incremental decoder for the u32-length-prefixed frames append_frame()
+/// produces. Feed it whatever the socket returns — TCP is free to dribble
+/// a frame one byte at a time or to coalesce several — and pull complete
+/// frames out with next().
 class FrameReader {
  public:
   /// @p max_frame_bytes guards against a hostile or corrupt length prefix
   /// committing us to buffering gigabytes; an over-limit prefix surfaces as
   /// kOversized and the connection should be dropped.
-  explicit FrameReader(std::size_t max_frame_bytes = 1 << 20)
+  explicit FrameReader(std::size_t max_frame_bytes = kMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
   void feed(std::string_view bytes) { buffer_.append(bytes); }

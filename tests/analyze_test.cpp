@@ -237,11 +237,11 @@ TEST(AnalyzeRules, NoWallClockExemptsLiveAndUtilTime) {
 TEST(AnalyzeRules, SansIoFiresOnIoIncludesInTheRoundProtocol) {
   const auto v = violations_of(
       {header("coord/round_protocol.hpp",
-              "#include \"net/tcp.hpp\"\n#include <mutex>")},
+              "#include \"net/tcp.hpp\"\n#include <chrono>")},
       "sans-io");
   ASSERT_EQ(v.size(), 2u);
   EXPECT_NE(v[0].message.find("net/tcp.hpp"), std::string::npos);
-  EXPECT_NE(v[1].message.find("<mutex>"), std::string::npos);
+  EXPECT_NE(v[1].message.find("<chrono>"), std::string::npos);
   // The pure includes pass, and the rule binds only the protocol files.
   EXPECT_TRUE(violations_of({header("coord/round_protocol.cpp",
                                     "#include \"coord/snapshot_wire.hpp\"\n"
@@ -252,6 +252,30 @@ TEST(AnalyzeRules, SansIoFiresOnIoIncludesInTheRoundProtocol) {
                                     "#include \"net/tcp.hpp\"\n"
                                     "#include <mutex>")},
                             "sans-io")
+                  .empty());
+}
+
+TEST(AnalyzeRules, CoordSingleThreadedFiresOnThreadIncludesInCoord) {
+  const auto v = violations_of(
+      {header("coord/session_manager.hpp",
+              "#include <thread>\n#include <mutex>\n#include <atomic>\n"
+              "#include \"util/thread_annotations.hpp\"\n#include <vector>")},
+      "coord-single-threaded");
+  ASSERT_EQ(v.size(), 4u);
+  EXPECT_NE(v[0].message.find("<thread>"), std::string::npos);
+  EXPECT_NE(v[1].message.find("<mutex>"), std::string::npos);
+  EXPECT_NE(v[2].message.find("<atomic>"), std::string::npos);
+  EXPECT_NE(v[3].message.find("thread_annotations.hpp"), std::string::npos);
+  EXPECT_EQ(v[3].line, 5u);  // header() puts #pragma once on line 1
+  // The ban covers every coord file, and only coord files.
+  EXPECT_EQ(violations_of({header("coord/round_protocol.cpp",
+                                  "#include <mutex>")},
+                          "coord-single-threaded")
+                .size(),
+            1u);
+  EXPECT_TRUE(violations_of({header("live/event_loop.hpp",
+                                    "#include <thread>\n#include <atomic>")},
+                            "coord-single-threaded")
                   .empty());
 }
 

@@ -394,7 +394,6 @@ TEST(ControlPlane, SocketTransportRunsALoopbackRound) {
   root_options.fleet_size = 2;
   root_options.round_period_usec = 1000;
   root_options.round_deadline_usec = 1'000'000;
-  root_options.io_timeout_ms = 10;
   coord::SocketTransport root(1, 2, root_options);
   std::vector<std::uint64_t> root_rounds;
   std::vector<double> root_aggregate;
@@ -422,7 +421,7 @@ TEST(ControlPlane, SocketTransportRunsALoopbackRound) {
   leaf.start();
 
   // Fake clocks, real sockets: poll both sides until the aggregate lands on
-  // the leaf, giving the background readers a beat between polls.
+  // the leaf, giving the bytes a beat to cross the loopback between polls.
   std::int64_t now = 0;
   for (int i = 0; i < 2000 && leaf_rounds.empty(); ++i) {
     leaf.poll(now);

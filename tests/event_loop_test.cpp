@@ -72,13 +72,13 @@ struct SocketPair {
   SocketPair() {
     int fds[2] = {-1, -1};
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
-    watched = Fd(fds[0]);
-    peer = Fd(fds[1]);
+    watched = net::Fd(fds[0]);
+    peer = net::Fd(fds[1]);
   }
   void poke() const { EXPECT_EQ(::write(peer.get(), "x", 1), 1); }
 
-  Fd watched;
-  Fd peer;
+  net::Fd watched;
+  net::Fd peer;
 };
 
 /// Polls @p done every millisecond for up to two seconds.

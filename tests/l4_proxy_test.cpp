@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,17 +54,6 @@ class EchoBackend {
   std::atomic<bool> running_{true};
   std::thread thread_;
 };
-
-/// Threads of this process, as the kernel lists them.
-std::size_t thread_count() {
-  std::size_t n = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++n;
-  }
-  return n;
-}
 
 /// Polls @p done every millisecond for up to two seconds.
 template <class Predicate>
@@ -191,7 +179,7 @@ TEST(L4Proxy, ConcurrentRelaysAddNoThreads) {
   config.services = {{0, backend.local_port(), 0}};
   L4Proxy proxy(&scheduler, config);
   proxy.start();
-  const std::size_t threads_after_start = thread_count();
+  const std::size_t threads_after_start = test::thread_count();
 
   // Quotas follow the demand estimate, so early connections may be
   // refused; dial one at a time and keep the admitted ones open.
@@ -210,7 +198,7 @@ TEST(L4Proxy, ConcurrentRelaysAddNoThreads) {
     }
   }
   ASSERT_EQ(relays.size(), 64u);
-  EXPECT_EQ(thread_count(), threads_after_start);
+  EXPECT_EQ(test::thread_count(), threads_after_start);
   proxy.stop();
 }
 

@@ -6,11 +6,13 @@
 // suites.
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdint>
+#include <poll.h>
 #include <pthread.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <csignal>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,55 +191,40 @@ TEST(Tcp, OversizedLengthPrefixIsSticky) {
   EXPECT_EQ(reader.next(&frame), net::FrameReader::Event::kOversized);
 }
 
-// The explicit-address constructors behind the coord layer's allow_nonlocal
-// flag: numeric IPv4 only, no DNS, and loopback addresses keep working
-// through them (the loopback constructors delegate here).
+// The host-address helpers behind the coord layer's allow_nonlocal flag:
+// numeric IPv4 only, no DNS, and loopback addresses work through them. Both
+// ends are non-blocking, so the test waits for readiness with poll(2).
 TEST(Tcp, ExplicitAddressConnectAndListen) {
-  const net::Socket listener = net::Socket::listen_on("127.0.0.1", 0);
-  const net::Socket client =
-      net::Socket::connect_to("127.0.0.1", listener.local_port());
-  const net::Socket server = listener.accept();
-  client.write_all("hello");
-  const net::ReadResult got = server.read_some();
-  ASSERT_EQ(got.status, net::ReadStatus::kData);
-  EXPECT_EQ(got.data, "hello");
+  const auto wait_for = [](const net::Fd& fd, short events) {
+    pollfd ready{fd.get(), events, 0};
+    return ::poll(&ready, 1, 2000) == 1;
+  };
+  const net::Fd listener = net::listen_on("127.0.0.1", 0);
+  bool pending = false;
+  const net::Fd client =
+      net::dial("127.0.0.1", net::local_port(listener), &pending);
+  ASSERT_TRUE(client.valid());
+  ASSERT_TRUE(wait_for(client, POLLOUT));
+  EXPECT_EQ(net::connect_error(client), 0);
+  ASSERT_TRUE(wait_for(listener, POLLIN));
+  const net::Fd server = net::accept_connection(listener);
+  ASSERT_TRUE(server.valid());
+  ASSERT_EQ(net::send_some(client, "hello", 5), 5);
+  ASSERT_TRUE(wait_for(server, POLLIN));
+  char got[16];
+  ASSERT_EQ(::recv(server.get(), got, sizeof got, 0), 5);
+  EXPECT_EQ(std::string(got, 5), "hello");
 
   // Hostnames are configuration errors, not resolution requests.
   try {
-    net::Socket::connect_to("control-plane.internal", 7000);
-    FAIL() << "hostname accepted by the numeric-IPv4-only connect";
+    net::dial("control-plane.internal", 7000, &pending);
+    FAIL() << "hostname accepted by the numeric-IPv4-only dial";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("numeric IPv4"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(net::Socket::listen_on("not-an-address", 0),
-               ContractViolation);
-  EXPECT_THROW(net::Socket::connect_to("", 7000), ContractViolation);
-}
-
-TEST(Tcp, TryAcceptReportsTimeoutAsInvalidSocket) {
-  const net::Socket listener = net::Socket::listen_on_loopback(0);
-  listener.set_read_timeout_ms(30);
-  EXPECT_FALSE(listener.try_accept().valid());  // nobody dialed: timeout
-
-  const net::Socket client =
-      net::Socket::connect_loopback(listener.local_port());
-  net::Socket accepted = listener.try_accept();
-  EXPECT_TRUE(accepted.valid());
-}
-
-TEST(Tcp, ShutdownWakesABlockedReader) {
-  LoopbackPair pair;
-  std::atomic<bool> woke{false};
-  std::thread reader([&] {
-    // Blocks until shutdown() below; must observe kClosed, not hang.
-    const net::ReadResult result = pair.client.read_some();
-    woke.store(result.status == net::ReadStatus::kClosed);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  pair.client.shutdown();
-  reader.join();
-  EXPECT_TRUE(woke.load());
+  EXPECT_THROW(net::listen_on("not-an-address", 0), ContractViolation);
+  EXPECT_THROW(net::dial("", 7000, &pending), ContractViolation);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Tests for the per-peer session layer (coord/session_manager.hpp): peer
 // address validation, the HELLO handshake in both directions, zombie-
 // incarnation rejection vs rejoin replacement, refusal-driven exponential
-// backoff with a cap, and the kDialRefused semantics the election layer
-// builds on. Real loopback sockets, fake poll clocks — same contract as the
-// transport tests.
+// backoff with a cap, the kDialRefused semantics the election layer builds
+// on, and the single-threaded I/O contract: no thread of its own, and a
+// peer that stops reading is dropped rather than waited on. Real loopback
+// sockets, fake poll clocks — same contract as the transport tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "coord/session_manager.hpp"
 #include "coord/snapshot_wire.hpp"
 #include "net/tcp.hpp"
+#include "test_helpers.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid {
@@ -30,7 +35,6 @@ SessionManager::Options base_options(std::vector<std::string> peers,
   options.self_index = self;
   options.reconnect_base_usec = 1000;
   options.reconnect_max_usec = 4000;
-  options.io_timeout_ms = 10;
   return options;
 }
 
@@ -132,9 +136,7 @@ TEST(SessionManager, ZombieHelloIsRejectedAndRejoinReplaces) {
   std::vector<std::string> rejects;
   SessionManager::Options a_options =
       base_options({"127.0.0.1:0", "127.0.0.1:0"}, 0);
-  // on_reject may fire from reader threads in general; in this test all the
-  // rejected frames are protocol-level (handled in poll), so a plain vector
-  // is safe.
+  // on_reject fires inside poll(), on this thread.
   a_options.on_reject = [&rejects](const char* why) {
     rejects.push_back(why);
   };
@@ -249,6 +251,126 @@ TEST(SessionManager, RefusedDialsBackOffExponentiallyUpToTheCap) {
   }
   EXPECT_EQ(refusal_times.size(), before);
   EXPECT_EQ(a.state(1), SessionManager::SessionState::kIdle);
+  a.stop();
+}
+
+// The session layer does all of its I/O inside poll() on the caller's
+// thread: a three-process mesh comes up, carries frames both ways on every
+// pair and shuts down without the process ever gaining a thread.
+TEST(SessionManager, StartsNoThread) {
+  const std::size_t threads = test::thread_count();
+  SessionManager a(
+      base_options({"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}, 0));
+  a.start();
+  const std::string a_addr = "127.0.0.1:" + std::to_string(a.listen_port());
+  SessionManager b(base_options({a_addr, "127.0.0.1:0", "127.0.0.1:0"}, 1));
+  b.start();
+  SessionManager c(base_options(
+      {a_addr, "127.0.0.1:" + std::to_string(b.listen_port()), "127.0.0.1:0"},
+      2));
+  c.start();
+  EXPECT_EQ(test::thread_count(), threads);
+
+  b.want(0, true);
+  c.want(0, true);
+  c.want(1, true);
+  std::vector<SessionManager*> managers = {&a, &b, &c};
+  std::vector<std::vector<SessionManager::Event>> events(3);
+  std::vector<std::vector<SessionManager::Event>*> sinks = {
+      &events[0], &events[1], &events[2]};
+  std::int64_t now = 0;
+  ASSERT_TRUE(pump(managers, sinks, &now, 500, [&] {
+    for (const SessionManager* m : managers)
+      if (m->established_count() != 2) return false;
+    return true;
+  }));
+  EXPECT_EQ(test::thread_count(), threads);
+
+  // Every manager sends every peer a frame tagged 10 * sender + receiver.
+  for (std::size_t from = 0; from < 3; ++from)
+    for (std::size_t to = 0; to < 3; ++to) {
+      if (from == to) continue;
+      coord::wire::Frame frame;
+      frame.round = 10 * from + to;
+      managers[from]->send(to, coord::wire::encode(frame));
+    }
+  ASSERT_TRUE(pump(managers, sinks, &now, 500, [&] {
+    for (std::size_t to = 0; to < 3; ++to) {
+      std::size_t got = 0;
+      for (const SessionManager::Event& e : events[to])
+        if (e.kind == SessionManager::Event::Kind::kFrame &&
+            e.frame.round == 10 * e.peer + to)
+          ++got;
+      if (got != 2) return false;
+    }
+    return true;
+  }));
+  EXPECT_EQ(test::thread_count(), threads);
+
+  a.stop();
+  b.stop();
+  c.stop();
+  EXPECT_EQ(test::thread_count(), threads);
+}
+
+// A peer that completes HELLO and then never reads (a paused process, a
+// stuck consumer) costs only its own session: send() and poll() keep
+// returning, and once the bytes it has not taken pass the cap it is
+// reported down. Should a send ever block, the watchdog closes the peer's
+// socket at its deadline, which unblocks the sender and fails the test
+// instead of hanging it.
+TEST(SessionManager, AStalledReaderIsDroppedNotWaitedOn) {
+  SessionManager a(base_options({"127.0.0.1:0", "127.0.0.1:0"}, 0));
+  a.start();
+  net::Socket stalled = net::Socket::connect_loopback(a.listen_port());
+  coord::wire::Frame hello;
+  hello.type = coord::wire::FrameType::kHello;
+  hello.member = 1;
+  hello.incarnation = 1;
+  stalled.write_frame(coord::wire::encode(hello));
+  std::vector<SessionManager::Event> events;
+  std::int64_t now = 0;
+  ASSERT_TRUE(pump({&a}, {&events}, &now, 500,
+                   [&] { return a.established(1); }));
+
+  std::mutex mutex;
+  std::condition_variable finished;
+  bool done = false;
+  std::atomic<bool> fired{false};
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!finished.wait_for(lock, std::chrono::seconds(5),
+                           [&] { return done; })) {
+      fired.store(true);
+      stalled.close();  // the only touch of the socket after the HELLO
+    }
+  });
+
+  // A demand report for 64 principals: 536 bytes on the wire.
+  coord::wire::Frame report;
+  report.type = coord::wire::FrameType::kReport;
+  report.values.assign(64, 1.0);
+  const std::string bytes = coord::wire::encode(report);
+  ASSERT_EQ(bytes.size(), 536u);
+  bool down = false;
+  for (int i = 0; i < 100'000 && !down && !fired.load(); ++i) {
+    a.send(1, bytes);
+    a.poll(now);
+    now += 100;
+    for (const SessionManager::Event& e : a.take_events())
+      if (e.kind == SessionManager::Event::Kind::kPeerDown && e.peer == 1)
+        down = true;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  finished.notify_one();
+  watchdog.join();
+
+  EXPECT_FALSE(fired.load()) << "send() or poll() waited on the stalled peer";
+  EXPECT_TRUE(down) << "the stalled peer was never reported down";
+  EXPECT_FALSE(a.established(1));
   a.stop();
 }
 

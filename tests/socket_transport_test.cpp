@@ -10,8 +10,8 @@
 //
 // All protocol timing here uses fake caller-supplied clocks — poll(now) owns
 // every deadline, lease expiry and election — so only the byte transport
-// itself is real. Real sleeps appear solely to let background reader threads
-// move bytes between polls.
+// itself is real. Real sleeps appear solely to let the peer's bytes cross
+// the loopback between polls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,8 +49,8 @@ std::string violation_message(Fn&& fn) {
 }
 
 /// Polls every node with a shared fake clock until @p done or ~2000 rounds
-/// of real 300 us beats have passed (the beats let reader threads land
-/// bytes in the inboxes between polls).
+/// of real 300 us beats have passed (the beats let bytes cross the
+/// loopback between polls).
 bool pump_until(const std::vector<coord::SocketTransport*>& nodes,
                 std::int64_t* now, std::int64_t step,
                 const std::function<bool()>& done) {
@@ -77,7 +77,6 @@ coord::SocketTransport::Options root_options(std::size_t fleet) {
   options.fleet_size = fleet;
   options.round_period_usec = 1000;
   options.round_deadline_usec = 1'000'000;
-  options.io_timeout_ms = 10;
   return options;
 }
 
@@ -417,8 +416,7 @@ TEST(SocketTransport, RootFailureElectsLowestLiveMember) {
     options.lease_ttl_usec = 50'000;
     options.reconnect_base_usec = 1000;
     options.reconnect_max_usec = 8000;
-    options.io_timeout_ms = 10;
-    return options;
+      return options;
   };
 
   auto root = std::make_unique<coord::SocketTransport>(1, 1, make_options(0));

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +58,17 @@ class ThrowOnceScheduler final : public sched::Scheduler {
   FixedRateScheduler inner_;
   mutable std::atomic<bool> thrown_{false};
 };
+
+/// Threads of this process, as the kernel lists them.
+inline std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
 
 /// Sends @p bytes to 127.0.0.1:@p port on a fresh connection, shuts down
 /// the sending side, and returns whatever arrives before the peer closes.

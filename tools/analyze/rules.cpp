@@ -275,16 +275,13 @@ void check_nodiscard_status(const AnalyzedFile& file,
   }
 }
 
-/// sans-io: the round protocol (coord/round_protocol.*) is a pure state
-/// machine, so it may include neither the socket, simulator and live layers
-/// nor the thread, lock, atomic and clock headers. That is what lets the
-/// same protocol run over TCP, in one process, or under a simulated network
-/// with a fake clock (docs/control-plane.md).
-void check_sans_io(const AnalyzedFile& file, std::vector<Violation>* out) {
-  if (file.canonical.rfind("coord/round_protocol.", 0) != 0) return;
-  static const std::vector<std::string> kBanned = {
-      "\"net/", "\"sim/", "\"live/", "<thread>", "<mutex>", "<atomic>",
-      "<chrono>"};
+/// Reports each #include of @p file whose target starts with one of
+/// @p banned as a @p rule violation; @p why follows the include in the
+/// message.
+void check_banned_includes(const AnalyzedFile& file,
+                           const std::vector<std::string>& banned,
+                           const std::string& rule, const std::string& why,
+                           std::vector<Violation>* out) {
   for (std::size_t i = 0; i < file.code.size(); ++i) {
     const std::string& code = file.code[i];
     std::size_t pos = code.find_first_not_of(' ');
@@ -295,17 +292,43 @@ void check_sans_io(const AnalyzedFile& file, std::vector<Violation>* out) {
     const std::string& raw = file.raw_lines[i];
     const std::size_t open = raw.find_first_of("\"<", pos + 7);
     if (open == std::string::npos) continue;
-    for (const std::string& banned : kBanned) {
-      if (raw.compare(open, banned.size(), banned) != 0) continue;
-      if (allows(raw, "sans-io")) continue;
-      out->push_back(
-          {file.path, i + 1, "sans-io",
-           "the round protocol includes " + raw.substr(open) +
-               "; it must stay free of sockets, simulators, threads, locks, "
-               "atomics and clocks so every driver (TCP, one process, a "
-               "simulated network) runs the same state machine"});
+    for (const std::string& prefix : banned) {
+      if (raw.compare(open, prefix.size(), prefix) != 0) continue;
+      if (allows(raw, rule)) continue;
+      out->push_back({file.path, i + 1, rule,
+                      file.canonical + " includes " + raw.substr(open) + why});
     }
   }
+}
+
+/// sans-io: the round protocol (coord/round_protocol.*) is a pure state
+/// machine, so it may include neither the socket, simulator and live layers
+/// nor the clock header. That is what lets the same protocol run over TCP,
+/// in one process, or under a simulated network with a fake clock
+/// (docs/control-plane.md).
+void check_sans_io(const AnalyzedFile& file, std::vector<Violation>* out) {
+  if (file.canonical.rfind("coord/round_protocol.", 0) != 0) return;
+  check_banned_includes(
+      file, {"\"net/", "\"sim/", "\"live/", "<chrono>"}, "sans-io",
+      "; the round protocol must stay free of sockets, simulators and "
+      "clocks so every driver (TCP, one process, a simulated network) runs "
+      "the same state machine",
+      out);
+}
+
+/// coord-single-threaded: the control plane runs entirely on its caller's
+/// thread — the session layer does its socket I/O inside poll() — so no
+/// src/coord file may include the thread, lock or atomic headers.
+void check_coord_single_threaded(const AnalyzedFile& file,
+                                 std::vector<Violation>* out) {
+  if (file.canonical.rfind("coord/", 0) != 0) return;
+  check_banned_includes(
+      file,
+      {"<thread>", "<mutex>", "<atomic>", "\"util/thread_annotations.hpp\""},
+      "coord-single-threaded",
+      "; the control plane runs on its caller's thread, so it needs no "
+      "thread, lock or atomic (docs/control-plane.md)",
+      out);
 }
 
 }  // namespace
@@ -380,6 +403,7 @@ void check_source_rules(const AnalyzedFile& file, std::vector<Violation>* out) {
 
   check_window_scheduler_ownership(file, out);
   check_sans_io(file, out);
+  check_coord_single_threaded(file, out);
   check_mutex_annotated(file, out);
   check_nodiscard_status(file, out);
 }

@@ -81,11 +81,12 @@ else
     --gtest_filter='MultiProviderScheduler.*:WorkerPool.*:AuditParallelPlanMatch.*'
   # The unified control plane is the other concurrency surface: each live
   # L4/L7 service drives it from one event-loop thread that its owner starts
-  # and stops (and whose counters other threads read), and the
-  # SocketTransport runs background receive threads feeding a mutex-guarded
-  # inbox drained by poll(). Rerun the control-plane, live-service (event
-  # loop included), socket-transport, and TCP tests standalone under TSan so
-  # a report can't hide in the big ctest log (docs/control-plane.md).
+  # and stops (and whose counters other threads read). The SocketTransport
+  # starts no thread (its sessions do their socket I/O inside poll()), but
+  # the tests drive it next to watchdog and echo threads. Rerun the
+  # control-plane, live-service (event loop included), socket-transport,
+  # and TCP tests standalone under TSan so a report can't hide in the big
+  # ctest log (docs/control-plane.md).
   echo "=== [debug-tsan] control plane + live event loops + socket transport ==="
   ./build-tsan/tests/sharegrid_tests \
     --gtest_filter='ControlPlane.*:ControlPlaneAudit.*:WallClockAdmission.*:EventLoop.*:L7Service.*:L4Proxy.*:Tcp.*:RoundProtocol.*:SocketTransport.*:SocketTransportWire.*:SocketTransportAudit.*'
@@ -99,11 +100,9 @@ else
   ./build-tsan/tests/sharegrid_tests \
     --gtest_filter='ShardedSimulator.*:ClusteredScenario.*'
   # Chaos stage: the forked fleet with a leaf kill + restart and a root
-  # kill + election, under TSan. Session teardown is where the receive
-  # threads, the inbox mutex, and poll() meet — abrupt process death
-  # exercises exactly the shutdown/reclaim interleavings a clean run never
-  # hits, and the audit hooks (single-root, lease monotone) are armed in
-  # this build.
+  # kill + election, under TSan. Abrupt process death exercises the session
+  # teardown and redial paths a clean run never hits, and the audit hooks
+  # (single-root, lease monotone) are armed in this build.
   echo "=== [debug-tsan] multi-process chaos (leaf restart + root election) ==="
   ./build-tsan/examples/multi_process_demo examples/scenarios/multi_process.ini
 fi
