@@ -42,7 +42,7 @@ Outcome run_with(const sched::Scheduler* scheduler,
                  const workload::RequestTrace& trace) {
   sim::Simulator sim;
   nodes::Metrics metrics(3);
-  nodes::Server server(&sim, &metrics, {"s", 0, 320.0, {1, 80}});
+  nodes::Server server(&sim, &metrics, {0, 320.0, {1, 80}});
   nodes::ServerPool pool;
   pool.add(&server);
   coord::ControlPlane plane(scheduler, {});

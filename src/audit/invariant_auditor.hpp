@@ -574,7 +574,7 @@ void audit_connection_table(const FlowMap& table, const FlowMap& affinity) {
 }
 
 // ---------------------------------------------------------------------------
-// experiments/sharded_scenario: sharded run matches the serial oracle.
+// experiments/scenario, clustered runs: sharded run matches the serial oracle.
 // ---------------------------------------------------------------------------
 
 /// A cluster-partitioned scenario run with sim_shards > 1 must be *bitwise*

@@ -1,5 +1,6 @@
 #include "coord/session_manager.hpp"
 
+#include <arpa/inet.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -52,6 +53,11 @@ SessionManager::PeerAddr SessionManager::parse_peer(const std::string& peer,
         "SessionManager: peer '" + peer +
         "' is not loopback; non-local peers require the explicit "
         "allow_nonlocal flag ([control_plane] allow_nonlocal = true)");
+  // No DNS: a host name would fail every dial and read as a dead peer.
+  in_addr numeric{};
+  if (::inet_pton(AF_INET, addr.host.c_str(), &numeric) != 1)
+    throw ContractViolation("SessionManager: peer '" + peer +
+                            "' must name a numeric IPv4 host");
   int port = 0;
   try {
     port = std::stoi(peer.substr(colon + 1));
@@ -358,12 +364,7 @@ void SessionManager::dial_pass(std::int64_t now_usec) {
     peer.state = peer.ever_established ? SessionState::kRejoining
                                        : SessionState::kConnecting;
     bool pending = false;
-    net::Fd socket;
-    try {
-      socket = net::dial(addr.host, addr.port, &pending);
-    } catch (const ContractViolation&) {
-      // A non-numeric host (allowed with allow_nonlocal) never connects.
-    }
+    net::Fd socket = net::dial(addr.host, addr.port, &pending);
     if (!socket.valid()) {
       note_refusal(p, now_usec);
       continue;
@@ -372,27 +373,32 @@ void SessionManager::dial_pass(std::int64_t now_usec) {
     conns_[c].outbound = true;
     conns_[c].connecting = pending;
     conns_[c].peer = p;
+    conns_[c].handshake_deadline_usec = now_usec + options_.hello_timeout_usec;
     peer.conn = c;
-    peer.handshake_deadline_usec = now_usec + options_.hello_timeout_usec;
     send_on_conn(c, hello_bytes());  // queued until the connect completes
   }
 }
 
 void SessionManager::expire_handshakes(std::int64_t now_usec) {
-  for (std::size_t p = 0; p < fleet_; ++p) {
-    Peer& peer = peers_[p];
+  for (std::size_t c = 0; c < conns_.size(); ++c) {
+    const Conn& conn = conns_[c];
+    if (!conn.socket.valid() || now_usec < conn.handshake_deadline_usec)
+      continue;
+    const std::size_t p = conn.peer;
+    if (p != kNoConn && peers_[p].conn == c &&
+        peers_[p].state == SessionState::kEstablished)
+      continue;
+    const bool outbound = conn.outbound;
+    reject("hello handshake timed out");
+    close_conn(c);
     // A dial still connecting, or one the peer accepted but never answered
     // HELLO on, counts as a refusal: a stopped process's kernel happily
-    // completes connections.
-    if (!peer.wanted || peer.conn == kNoConn ||
-        peer.state == SessionState::kEstablished ||
-        !conns_[peer.conn].outbound ||
-        now_usec < peer.handshake_deadline_usec)
-      continue;
-    close_conn(peer.conn);
-    peer.conn = kNoConn;
-    reject("hello handshake timed out");
-    note_refusal(p, now_usec);
+    // completes connections. An inbound connection that never said HELLO
+    // is only closed; it names no peer.
+    if (outbound && peers_[p].conn == c) {
+      peers_[p].conn = kNoConn;
+      note_refusal(p, now_usec);
+    }
   }
 }
 
@@ -414,7 +420,8 @@ void SessionManager::poll(std::int64_t now_usec) {
     for (;;) {
       net::Fd socket = net::accept_connection(listener_);
       if (!socket.valid()) break;
-      add_conn(std::move(socket));
+      conns_[add_conn(std::move(socket))].handshake_deadline_usec =
+          now_usec + options_.hello_timeout_usec;
     }
   }
   // Slots opened by the accepts above are polled from the next pass on;

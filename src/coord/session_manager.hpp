@@ -96,7 +96,8 @@ class SessionManager {
     std::int64_t reconnect_max_usec = 320000;
     /// A dialed peer whose connect is still pending or that accepts TCP but
     /// never answers HELLO (e.g. a stopped process whose kernel still
-    /// completes connections) is treated as a refusal after this long.
+    /// completes connections) is treated as a refusal after this long; an
+    /// accepted connection that has not sent HELLO by then is closed.
     std::int64_t hello_timeout_usec = 500000;
     /// Opaque payload for our HELLO frames; the transport packs the global
     /// member range it hosts as (member_offset << 32) | member_count.
@@ -193,6 +194,8 @@ class SessionManager {
     bool connecting = false;     ///< the non-blocking connect is in flight
     bool broken = false;         ///< a write failed or overflowed
     std::size_t peer = kNoConn;  ///< bound process index (outbound: target)
+    /// Closed at this time unless by then it carries an established session.
+    std::int64_t handshake_deadline_usec = 0;
   };
 
   /// State of one peer process.
@@ -205,7 +208,6 @@ class SessionManager {
     std::uint64_t aux = 0;
     std::int64_t next_dial_usec = 0;
     std::int64_t backoff_usec = 0;  ///< 0 = dial immediately when wanted
-    std::int64_t handshake_deadline_usec = 0;
   };
 
   void reject(const char* why);

@@ -86,13 +86,12 @@ struct ScenarioConfig {
   std::vector<ClientSpec> clients;
 
   /// Cluster-partitioned mode (DESIGN.md D13): when > 0, the declared
-  /// servers/clients describe ONE cluster, replicated this many times. Each
-  /// cluster runs in its own simulation domain with one redirector + one
-  /// control-plane member planning a 1/clusters slice of the global
-  /// agreements; the only cross-cluster traffic is the star snapshot
-  /// exchange, whose `tree_link_delay` (required > 0) is the conservative
-  /// lookahead the sharded engine steps by. 0 = classic single-domain path
-  /// (byte-identical to previous behaviour).
+  /// servers/clients describe ONE site, replicated this many times, each in
+  /// its own simulation domain with one redirector + one control-plane
+  /// member planning a 1/clusters slice of the global agreements; the only
+  /// cross-cluster traffic is the star snapshot exchange, whose
+  /// `tree_link_delay` (required > 0) is the conservative lookahead the
+  /// sharded engine steps by. 0 = the classic run: one site, one domain.
   std::size_t clusters = 0;
   /// Worker lanes running the cluster domains (1 = serial oracle). Results
   /// are bitwise-identical for any value — audited against the serial rerun
@@ -142,11 +141,8 @@ struct ScenarioConfig {
   /// may span hosts (numeric IPv4 only; the listener then binds 0.0.0.0).
   bool allow_nonlocal = false;
 
-  // Client behaviour.
-  double retry_delay_sec = 0.2;
+  /// Closed-loop worker bound of every client machine.
   std::size_t max_outstanding = 128;
-  bool exponential_arrivals = true;
-  SimDuration net_delay = 500;
 
   nodes::L7Redirector::Mode l7_mode = nodes::L7Redirector::Mode::kCreditBased;
   bool weighted_admission = false;
@@ -196,17 +192,15 @@ struct ScenarioResult {
   TextTable phase_table() const;
 };
 
-/// Builds every node, wires the combining tree, applies the client phase
-/// schedule, runs the simulation for `duration_sec`, and reports. Dispatches
-/// to run_clustered_scenario() when `config.clusters > 0`.
+/// Builds every node, wires the snapshot transport, applies the client
+/// phase schedule, runs the simulation for `duration_sec`, and reports. The
+/// classic run (clusters == 0) builds one site on a Simulator; a clustered
+/// run builds one per ShardedSimulator domain and requires layer == kL4,
+/// redirector_count == 1, tree_link_delay > 0, tree_fanout == 0, no
+/// capacity events and serial plan solves (see ScenarioConfig::clusters).
+/// Sites are merged in index order, so a clustered result is the same for
+/// any `sim_shards`.
 ScenarioResult run_scenario(const ScenarioConfig& config);
-
-/// Cluster-partitioned runner (sharded_scenario.cpp): one simulation domain
-/// per cluster on a conservatively synchronized ShardedSimulator, metrics
-/// merged in cluster order. Requires layer == kL4, redirector_count == 1,
-/// tree_link_delay > 0, tree_fanout == 0, no capacity events, and serial
-/// plan solves; see ScenarioConfig::clusters.
-ScenarioResult run_clustered_scenario(const ScenarioConfig& config);
 
 /// Resolves a principal name, failing loudly on typos in scenario specs.
 core::PrincipalId resolve_principal(const core::AgreementGraph& graph,

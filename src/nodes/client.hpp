@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "nodes/metrics.hpp"
 #include "nodes/request.hpp"
@@ -57,7 +56,6 @@ class RedirectorBase {
 class ClientMachine final : public RequestSource {
  public:
   struct Config {
-    std::string name;
     core::PrincipalId principal = core::kNoPrincipal;
     std::size_t index = 0;       ///< this machine's id within the experiment
     double rate = 400.0;         ///< max request generation rate (req/s)

@@ -118,17 +118,15 @@ bool L4Redirector::try_forward(const Held& held) {
   const auto owner = member_->try_admit(p, weight);
   if (!owner) return false;
 
+  // Prefer the machine that last served this client host — but only when
+  // the admission decision lands on the same owner ("to the extent allowed
+  // by the sharing agreements", §4.2).
   Server* server = nullptr;
-  if (config_.use_affinity) {
-    // Prefer the machine that last served this client host — but only when
-    // the admission decision lands on the same owner ("to the extent allowed
-    // by the sharing agreements", §4.2).
-    if (const auto hint = table_.affinity_hint(held.packet.src,
-                                               held.packet.dst)) {
-      Server* preferred = servers_->find(*hint);
-      if (preferred != nullptr && preferred->config().owner == *owner)
-        server = preferred;
-    }
+  if (const auto hint = table_.affinity_hint(held.packet.src,
+                                             held.packet.dst)) {
+    Server* preferred = servers_->find(*hint);
+    if (preferred != nullptr && preferred->config().owner == *owner)
+      server = preferred;
   }
   if (server == nullptr) server = servers_->pick(*owner);
   SHAREGRID_ASSERT(server != nullptr);

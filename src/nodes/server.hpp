@@ -3,7 +3,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/principal.hpp"
@@ -20,7 +19,6 @@ namespace sharegrid::nodes {
 class Server {
  public:
   struct Config {
-    std::string name;
     core::PrincipalId owner = core::kNoPrincipal;  ///< resource owner
     double capacity = 320.0;                       ///< units (requests)/sec
     l4::Endpoint endpoint;                         ///< L4 address

@@ -41,6 +41,13 @@ class WindowTrace {
     rows_.push_back(std::move(row));
   }
 
+  /// Appends @p other's rows (subject to this log's cap) and its drop count;
+  /// the scenario runners fold per-site logs into one report this way.
+  void merge_from(WindowTrace&& other) {
+    for (Row& row : other.rows_) record(std::move(row));
+    dropped_ += other.dropped_;
+  }
+
   const std::vector<Row>& rows() const { return rows_; }
   std::uint64_t dropped() const { return dropped_; }
 

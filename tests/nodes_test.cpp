@@ -34,7 +34,7 @@ Request make_request(core::PrincipalId p, std::uint64_t id, SimTime created,
 TEST(Server, ServesAtConfiguredCapacity) {
   sim::Simulator sim;
   Metrics metrics(1);
-  Server server(&sim, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &metrics, {0, 100.0, {1, 80}});
 
   int completions = 0;
   for (int i = 0; i < 50; ++i) {
@@ -52,7 +52,7 @@ TEST(Server, ServesAtConfiguredCapacity) {
 TEST(Server, WeightScalesServiceTime) {
   sim::Simulator sim;
   Metrics metrics(1);
-  Server server(&sim, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &metrics, {0, 100.0, {1, 80}});
 
   Request big = make_request(0, 1, 0);
   big.weight = 10.0;  // a 10x request takes 0.1 s at 100 units/s
@@ -65,7 +65,7 @@ TEST(Server, WeightScalesServiceTime) {
 TEST(Server, BacklogReflectsQueuedWork) {
   sim::Simulator sim;
   Metrics metrics(1);
-  Server server(&sim, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &metrics, {0, 100.0, {1, 80}});
   EXPECT_DOUBLE_EQ(server.backlog_seconds(), 0.0);
   for (int i = 0; i < 10; ++i)
     server.submit(make_request(0, static_cast<std::uint64_t>(i), 0),
@@ -76,7 +76,7 @@ TEST(Server, BacklogReflectsQueuedWork) {
 TEST(Server, RecordsServedMetrics) {
   sim::Simulator sim;
   Metrics metrics(2);
-  Server server(&sim, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &metrics, {0, 100.0, {1, 80}});
   server.submit(make_request(1, 1, 0), nullptr);
   sim.run_all();
   EXPECT_EQ(metrics.served(1).total_events(), 1u);
@@ -86,9 +86,9 @@ TEST(Server, RecordsServedMetrics) {
 TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
   sim::Simulator sim;
   Metrics metrics(2);
-  Server s1(&sim, &metrics, {"s1", 0, 100.0, {1, 80}});
-  Server s2(&sim, &metrics, {"s2", 0, 100.0, {2, 80}});
-  Server other(&sim, &metrics, {"s3", 1, 100.0, {3, 80}});
+  Server s1(&sim, &metrics, {0, 100.0, {1, 80}});
+  Server s2(&sim, &metrics, {0, 100.0, {2, 80}});
+  Server other(&sim, &metrics, {1, 100.0, {3, 80}});
   ServerPool pool;
   pool.add(&s1);
   pool.add(&s2);
@@ -120,7 +120,6 @@ class RecordingRedirector final : public RedirectorBase {
 ClientMachine::Config client_config(double rate, std::size_t max_outstanding,
                                     bool exponential = false) {
   ClientMachine::Config c;
-  c.name = "c";
   c.principal = 0;
   c.index = 0;
   c.rate = rate;
@@ -228,9 +227,9 @@ struct L7Fixture {
     plane = std::make_unique<coord::ControlPlane>(&scheduler,
                                                   coord::ControlPlaneConfig{});
     server0 = std::make_unique<Server>(&sim, &metrics,
-                                       Server::Config{"s0", 0, 1000.0, {1, 80}});
+                                       Server::Config{0, 1000.0, {1, 80}});
     server1 = std::make_unique<Server>(&sim, &metrics,
-                                       Server::Config{"s1", 1, 1000.0, {2, 80}});
+                                       Server::Config{1, 1000.0, {2, 80}});
     pool.add(server0.get());
     pool.add(server1.get());
     L7Redirector::Config rc;
@@ -239,7 +238,6 @@ struct L7Fixture {
     redirector = std::make_unique<L7Redirector>(&sim, &metrics, &pool,
                                                 plane->add_member(), rc);
     ClientMachine::Config cc;
-    cc.name = "c";
     cc.principal = 0;
     cc.rate = 100.0;
     cc.max_outstanding = 1000;
@@ -312,9 +310,9 @@ struct L4Fixture {
     plane = std::make_unique<coord::ControlPlane>(&scheduler,
                                                   coord::ControlPlaneConfig{});
     server0 = std::make_unique<Server>(&sim, &metrics,
-                                       Server::Config{"s0", 0, 1000.0, {1, 80}});
+                                       Server::Config{0, 1000.0, {1, 80}});
     server1 = std::make_unique<Server>(&sim, &metrics,
-                                       Server::Config{"s1", 0, 1000.0, {2, 80}});
+                                       Server::Config{0, 1000.0, {2, 80}});
     pool.add(server0.get());
     pool.add(server1.get());
     L4Redirector::Config rc;
@@ -323,7 +321,6 @@ struct L4Fixture {
     redirector = std::make_unique<L4Redirector>(&sim, &metrics, &pool,
                                                 plane->add_member(), rc);
     ClientMachine::Config cc;
-    cc.name = "c";
     cc.principal = 0;
     cc.rate = 100.0;
     cc.max_outstanding = 1000;

@@ -3,6 +3,7 @@
 // return.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -228,6 +229,133 @@ TEST(Regression, DualRecoveryZeroPivotFallsBackToColdSolve) {
   EXPECT_NEAR(last.theta, fresh.theta, 1e-9);
   for (core::PrincipalId p = 0; p < g.size(); ++p)
     EXPECT_NEAR(last.admitted(p), fresh.admitted(p), 1e-6) << "principal " << p;
+}
+
+// Pin: the integer output of both scenario runners (admissions, rejections,
+// control messages, per-second served/offered counts, trace rows). Any
+// change in per-domain event creation order (DESIGN.md D4) or in RNG stream
+// splitting shows up here as a count drift, even where the figure benches'
+// shape bands would still pass.
+struct RunnerPin {
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected_or_queued = 0;
+  std::uint64_t messages = 0;
+  std::vector<std::vector<std::uint64_t>> served;   // [principal][bin]
+  std::vector<std::vector<std::uint64_t>> offered;  // [principal][bin]
+  std::size_t trace_rows = 0;
+  std::vector<std::string> trace_names;  // in order of first appearance
+};
+
+RunnerPin pin_of(const experiments::ScenarioResult& r) {
+  RunnerPin pin{.admitted = r.total_admitted,
+                .rejected_or_queued = r.total_rejected_or_queued,
+                .messages = r.coordination_messages,
+                .served = {},
+                .offered = {},
+                .trace_rows = r.window_trace.rows().size(),
+                .trace_names = {}};
+  for (std::size_t p = 0; p < r.principal_names.size(); ++p) {
+    std::vector<std::uint64_t> served;
+    std::vector<std::uint64_t> offered;
+    for (std::size_t b = 0; b < r.metrics.offered(p).bin_count(); ++b) {
+      served.push_back(r.metrics.served(p).events_in_bin(b));
+      offered.push_back(r.metrics.offered(p).events_in_bin(b));
+    }
+    pin.served.push_back(std::move(served));
+    pin.offered.push_back(std::move(offered));
+  }
+  for (const auto& row : r.window_trace.rows())
+    if (std::find(pin.trace_names.begin(), pin.trace_names.end(),
+                  row.redirector) == pin.trace_names.end())
+      pin.trace_names.push_back(row.redirector);
+  return pin;
+}
+
+void expect_pin(const RunnerPin& got, const RunnerPin& want) {
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.rejected_or_queued, want.rejected_or_queued);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.served, want.served);
+  EXPECT_EQ(got.offered, want.offered);
+  EXPECT_EQ(got.trace_rows, want.trace_rows);
+  EXPECT_EQ(got.trace_names, want.trace_names);
+}
+
+/// Two principals with symmetric agreements (0.3 mandatory, 1.0 optional
+/// each way), one 200 req/s server each, every window traced.
+experiments::ScenarioConfig pin_base() {
+  experiments::ScenarioConfig c;
+  c.graph.add_principal("A", 0.0);
+  c.graph.add_principal("B", 0.0);
+  c.graph.set_agreement(0, 1, 0.3, 1.0);
+  c.graph.set_agreement(1, 0, 0.3, 1.0);
+  c.servers = {{"A", 200.0}, {"B", 200.0}};
+  c.phases = {{"all", 0.0, 6.0}};
+  c.duration_sec = 6.0;
+  c.trace_windows = true;
+  c.seed = 2024;
+  return c;
+}
+
+TEST(Regression, ClassicL7TreeRunOutputIsPinned) {
+  experiments::ScenarioConfig c = pin_base();
+  c.layer = experiments::Layer::kL7;
+  c.redirector_count = 3;
+  c.tree_fanout = 2;
+  c.tree_link_delay = 30 * kMillisecond;
+  c.clients = {{"a0", "A", 0, 260.0, {{0.0, 6.0}}},
+               {"a1", "A", 1, 120.0, {{1.0, 5.0}}},
+               {"b0", "B", 2, 220.0, {{0.5, 6.0}}}};
+  c.capacity_events = {{2.5, 1, 120.0}};
+  expect_pin(pin_of(experiments::run_scenario(c)),
+             {.admitted = 2081,
+              .rejected_or_queued = 6005,
+              .messages = 357,
+              .served = {{246, 211, 212, 194, 194, 194},
+                         {39, 183, 162, 126, 126, 126}},
+              .offered = {{262, 352, 278, 222, 194, 109},
+                          {109, 219, 182, 128, 126, 126}},
+              .trace_rows = 180,
+              .trace_names = {"l7-0", "l7-1", "l7-2"}});
+}
+
+TEST(Regression, ClassicL4RunOutputIsPinned) {
+  experiments::ScenarioConfig c = pin_base();
+  c.layer = experiments::Layer::kL4;
+  c.redirector_count = 2;
+  c.clients = {{"a0", "A", 0, 300.0, {{0.0, 6.0}}},
+               {"b0", "B", 1, 150.0, {{1.0, 4.5}}},
+               {"b1", "B", 0, 150.0, {{2.0, 6.0}}}};
+  expect_pin(pin_of(experiments::run_scenario(c)),
+             {.admitted = 2311,
+              .rejected_or_queued = 225,
+              .messages = 240,
+              .served = {{271, 252, 217, 181, 182, 197},
+                         {0, 133, 180, 218, 218, 202}},
+              .offered = {{286, 289, 292, 182, 182, 196},
+                          {0, 154, 310, 308, 179, 158}},
+              .trace_rows = 120,
+              .trace_names = {"l4-0", "l4-1"}});
+}
+
+TEST(Regression, ClusteredRunOutputIsPinned) {
+  experiments::ScenarioConfig c = pin_base();
+  c.layer = experiments::Layer::kL4;
+  c.clusters = 3;
+  c.client_scale = 2;
+  c.tree_link_delay = 40 * kMillisecond;
+  c.clients = {{"a0", "A", 0, 120.0, {{0.0, 6.0}}},
+               {"b0", "B", 0, 90.0, {{1.5, 5.0}}}};
+  expect_pin(pin_of(experiments::run_scenario(c)),
+             {.admitted = 6131,
+              .rejected_or_queued = 31,
+              .messages = 360,
+              .served = {{651, 749, 666, 629, 664, 814},
+                         {0, 142, 513, 546, 529}},
+              .offered = {{737, 737, 692, 729, 761, 721},
+                          {0, 242, 527, 497, 520}},
+              .trace_rows = 180,
+              .trace_names = {"l4-c0", "l4-c1", "l4-c2"}});
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // address validation, the HELLO handshake in both directions, zombie-
 // incarnation rejection vs rejoin replacement, refusal-driven exponential
 // backoff with a cap, the kDialRefused semantics the election layer builds
-// on, and the single-threaded I/O contract: no thread of its own, and a
-// peer that stops reading is dropped rather than waited on. Real loopback
+// on, and the single-threaded I/O contract: no thread of its own, a peer
+// that stops reading is dropped rather than waited on, and a connection that
+// never says HELLO is closed at the handshake deadline. Real loopback
 // sockets, fake poll clocks — same contract as the transport tests.
 #include <gtest/gtest.h>
 
@@ -82,6 +83,18 @@ TEST(SessionManager, ParsePeerValidatesAndSplits) {
   EXPECT_THROW(SessionManager::parse_peer("127.0.0.1:65536", false),
                ContractViolation);
   EXPECT_THROW(SessionManager::parse_peer("127.0.0.1:x", false),
+               ContractViolation);
+}
+
+TEST(SessionManager, NonNumericPeerHostFailsAtConstruction) {
+  // allow_nonlocal lifts the loopback rule, not the no-DNS rule: a host
+  // name would fail every dial and read as a dead peer to the election.
+  auto options = base_options({"127.0.0.1:0", "ctrl-b.example:7000"}, 0);
+  options.allow_nonlocal = true;
+  EXPECT_THROW(SessionManager{options}, ContractViolation);
+  EXPECT_THROW(SessionManager::parse_peer("ctrl-b.example:7000", true),
+               ContractViolation);
+  EXPECT_THROW(SessionManager::parse_peer("10.0.0:7000", true),
                ContractViolation);
 }
 
@@ -371,6 +384,38 @@ TEST(SessionManager, AStalledReaderIsDroppedNotWaitedOn) {
   EXPECT_FALSE(fired.load()) << "send() or poll() waited on the stalled peer";
   EXPECT_TRUE(down) << "the stalled peer was never reported down";
   EXPECT_FALSE(a.established(1));
+  a.stop();
+}
+
+TEST(SessionManager, SilentInboundConnectionIsClosedAtTheHelloDeadline) {
+  auto options = base_options({"127.0.0.1:0", "127.0.0.1:0"}, 0);
+  options.hello_timeout_usec = 10000;
+  int rejects = 0;
+  options.on_reject = [&rejects](const char*) { ++rejects; };
+  SessionManager a(options);
+  a.start();
+  std::vector<net::Socket> silent;
+  for (int i = 0; i < 3; ++i) {
+    silent.push_back(net::Socket::connect_loopback(a.listen_port()));
+    silent.back().set_read_timeout_ms(100);
+  }
+  // Accepted at t=0; one microsecond short of the deadline they stay open.
+  for (int i = 0; i < 3; ++i) a.poll(0);
+  a.poll(options.hello_timeout_usec - 1);
+  for (const net::Socket& s : silent)
+    EXPECT_EQ(s.read_some().status, net::ReadStatus::kTimedOut);
+  EXPECT_EQ(rejects, 0);
+
+  a.poll(options.hello_timeout_usec);
+  for (const net::Socket& s : silent) {
+    const net::ReadResult read = s.read_some();
+    EXPECT_EQ(read.status, net::ReadStatus::kClosed);
+    EXPECT_TRUE(read.data.empty());
+  }
+  EXPECT_EQ(rejects, 3);
+  // No peer was named, so nothing reads as a refusal.
+  for (const SessionManager::Event& e : a.take_events())
+    EXPECT_NE(e.kind, SessionManager::Event::Kind::kDialRefused);
   a.stop();
 }
 

@@ -1,5 +1,6 @@
 // End-to-end tests for the cluster-partitioned scenario runner
-// (experiments/sharded_scenario.cpp): shard-count invariance of the full
+// (run_scenario with clusters > 0, experiments/scenario.cpp): shard-count
+// invariance of the full
 // merged result, the serial-as-oracle audit, scaling knobs, and the
 // partitioning contract's precondition checks.
 #include <gtest/gtest.h>

@@ -81,7 +81,7 @@ TEST(TraceClient, ReplaysOpenLoopThroughL4) {
   // closed-loop ClientMachine.
   sim::Simulator sim;
   nodes::Metrics metrics(1);
-  nodes::Server server(&sim, &metrics, {"s", 0, 1000.0, {1, 80}});
+  nodes::Server server(&sim, &metrics, {0, 1000.0, {1, 80}});
   nodes::ServerPool pool;
   pool.add(&server);
   test::FixedRateScheduler scheduler({40.0});
@@ -122,7 +122,7 @@ TEST(TraceClient, IdenticalInputForDifferentSchedulers) {
   auto run = [&](double rate) {
     sim::Simulator sim;
     nodes::Metrics metrics(1);
-    nodes::Server server(&sim, &metrics, {"s", 0, 1000.0, {1, 80}});
+    nodes::Server server(&sim, &metrics, {0, 1000.0, {1, 80}});
     nodes::ServerPool pool;
     pool.add(&server);
     test::FixedRateScheduler scheduler({rate});
