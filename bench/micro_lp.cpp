@@ -4,7 +4,6 @@
 // these numbers quantify what "small" buys.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,11 +11,9 @@
 #include "core/flow.hpp"
 #include "lp/solve_context.hpp"
 #include "sched/income_scheduler.hpp"
-#include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "util/names.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 using namespace sharegrid;
 
@@ -178,55 +175,5 @@ void BM_LpColdExplicitRows(benchmark::State& state) {
 }
 BENCHMARK(BM_LpColdExplicitRows)
     ->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
-
-// -- M3: multi-provider plan, serial vs worker-pool ---------------------------
-//
-// One deployment hosting `p` providers solves `p` independent per-provider
-// income programs each window (DESIGN.md D8). Serial runs them in sequence
-// on the calling thread; Parallel fans them out on a WorkerPool. The plans
-// are bitwise identical either way (tests/parallel_plan_test.cpp) — this
-// measures only the dispatch cost/win.
-
-void multi_provider_bench(benchmark::State& state,
-                          std::shared_ptr<WorkerPool> pool) {
-  Rng rng(44);
-  const auto p = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kCustomers = 8;
-  core::AgreementGraph g;
-  std::vector<core::PrincipalId> providers;
-  for (std::size_t s = 0; s < p; ++s)
-    providers.push_back(g.add_principal(util::numbered("S", s), 1000.0));
-  for (std::size_t i = 0; i < kCustomers; ++i) {
-    const auto c = g.add_principal(util::numbered("C", i), 0.0);
-    for (std::size_t s = 0; s < p; ++s) {
-      const double lb = rng.uniform(0.0, 0.4 / static_cast<double>(kCustomers));
-      g.set_agreement(providers[s], c, lb, rng.uniform(lb, 0.8));
-    }
-  }
-  std::vector<double> prices(g.size(), 0.0);
-  for (std::size_t i = p; i < g.size(); ++i) prices[i] = rng.uniform(0.5, 3.0);
-  sched::MultiProviderScheduler scheduler(g, core::compute_access_levels(g),
-                                          providers, prices, std::move(pool));
-  auto windows = make_demand_sequence(g.size(), rng);
-  for (auto& demand : windows)  // providers issue no demand of their own
-    for (std::size_t s = 0; s < p; ++s) demand[s] = 0.0;
-  std::size_t w = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.plan(windows[w]));
-    w = (w + 1) % windows.size();
-  }
-}
-
-void BM_MultiProviderPlanSerial(benchmark::State& state) {
-  multi_provider_bench(state, nullptr);
-}
-BENCHMARK(BM_MultiProviderPlanSerial)
-    ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_MultiProviderPlanParallel(benchmark::State& state) {
-  multi_provider_bench(state, std::make_shared<WorkerPool>(3));
-}
-BENCHMARK(BM_MultiProviderPlanParallel)
-    ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

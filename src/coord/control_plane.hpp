@@ -9,8 +9,8 @@
 // the simulator and re-implemented (single-node, tree-less) in the live
 // stack. ControlPlane owns it once: per-principal ArrivalEstimator demand
 // monitoring, snapshot exchange over an abstract SnapshotTransport, plan
-// solves through the shared sched::Scheduler (MultiProviderScheduler's
-// parallel path included), and WindowScheduler slice/quota enforcement.
+// solves through the shared sched::Scheduler (on the caller's thread, one
+// plan at a time), and WindowScheduler slice/quota enforcement.
 //
 // Timing is deliberately absent: a ControlPlane member only ever reacts to
 // record_arrival / try_admit / advance_window / receive_global calls. The

@@ -20,7 +20,6 @@
 #include "nodes/l4_redirector.hpp"
 #include "nodes/server.hpp"
 #include "sched/income_scheduler.hpp"
-#include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "sched/swappable_scheduler.hpp"
 #include "sim/sharded_simulator.hpp"
@@ -29,7 +28,6 @@
 #include "util/metrics_registry.hpp"
 #include "util/names.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 namespace sharegrid::experiments {
 
@@ -41,8 +39,7 @@ core::PrincipalId resolve_principal(const core::AgreementGraph& graph,
 }
 
 std::unique_ptr<sched::Scheduler> build_scheduler(
-    const ScenarioConfig& config, const core::AgreementGraph& graph,
-    std::shared_ptr<WorkerPool> plan_pool) {
+    const ScenarioConfig& config, const core::AgreementGraph& graph) {
   const std::size_t n = graph.size();
   const core::AccessLevels levels = core::compute_access_levels(graph);
   if (config.scheduler == SchedulerKind::kResponseTime) {
@@ -55,15 +52,6 @@ std::unique_ptr<sched::Scheduler> build_scheduler(
                                                           options);
   }
   SHAREGRID_EXPECTS(config.prices.size() == n);
-  if (!config.providers.empty()) {
-    std::vector<core::PrincipalId> providers;
-    providers.reserve(config.providers.size());
-    for (const std::string& name : config.providers)
-      providers.push_back(resolve_principal(graph, name));
-    return std::make_unique<sched::MultiProviderScheduler>(
-        graph, levels, std::move(providers), config.prices,
-        std::move(plan_pool));
-  }
   return std::make_unique<sched::IncomeScheduler>(
       graph, levels, resolve_principal(graph, config.provider), config.prices);
 }
@@ -165,11 +153,10 @@ core::AgreementGraph site_graph(const ScenarioConfig& config,
 std::unique_ptr<Site> build_site_nodes(sim::Simulator* sim,
                                        const ScenarioConfig& config,
                                        const core::AgreementGraph& graph,
-                                       std::shared_ptr<WorkerPool> plan_pool,
                                        std::size_t index, std::size_t sites) {
   auto site = std::make_unique<Site>(sim, graph.size());
   site->scheduler = std::make_unique<sched::SwappableScheduler>(
-      build_scheduler(config, graph, std::move(plan_pool)));
+      build_scheduler(config, graph));
   for (std::size_t s = 0; s < config.servers.size(); ++s) {
     nodes::Server::Config sc;
     sc.owner = resolve_principal(graph, config.servers[s].owner);
@@ -345,10 +332,6 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
   SHAREGRID_EXPECTS(config.tree_link_delay > 0);
   SHAREGRID_EXPECTS(config.tree_fanout == 0);
   SHAREGRID_EXPECTS(config.capacity_events.empty());
-  // Plan solves stay serial inside each cluster: the parallelism budget is
-  // already spent on the cluster lanes, and a WorkerPool shared by
-  // concurrently-solving clusters would race.
-  SHAREGRID_EXPECTS(config.plan_solver_threads == 0);
 
   util::global_metrics().reset();
   const core::AgreementGraph graph = site_graph(config, config.clusters);
@@ -360,8 +343,8 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
   const workload::ReplySizeDistribution reply_sizes;  // immutable, shared
   std::vector<std::unique_ptr<Site>> sites;
   for (std::size_t c = 0; c < config.clusters; ++c)
-    sites.push_back(build_site_nodes(&sharded.domain(c), config, graph,
-                                     nullptr, c, config.clusters));
+    sites.push_back(
+        build_site_nodes(&sharded.domain(c), config, graph, c, config.clusters));
 
   // The star exchange across clusters: one sampling task per domain.
   coord::ShardedStarTransport::Options star_options;
@@ -423,18 +406,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // Always-on telemetry is reported per run: zero the process-wide registry
   // so the totals printed afterwards cover exactly this scenario.
   util::global_metrics().reset();
-  // The scheduler is rebuilt whenever capacities change at runtime
-  // (agreements are interpreted dynamically, §2.2). The worker pool is
-  // shared across rebuilds so capacity events don't respawn threads.
-  std::shared_ptr<WorkerPool> plan_pool;
-  if (!config.providers.empty() && config.plan_solver_threads > 0)
-    plan_pool = std::make_shared<WorkerPool>(config.plan_solver_threads);
   core::AgreementGraph graph = site_graph(config, 1);
   sim::Simulator sim;
   Rng master(config.seed);
   const workload::ReplySizeDistribution reply_sizes;
   std::vector<std::unique_ptr<Site>> sites;
-  sites.push_back(build_site_nodes(&sim, config, graph, plan_pool, 0, 1));
+  sites.push_back(build_site_nodes(&sim, config, graph, 0, 1));
   Site& site = *sites.front();
 
   // Redirectors hang as leaves off a virtual root so every one of them sees
@@ -461,11 +438,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       nodes::Server* machine = site.servers[event.server].get();
       const core::PrincipalId owner = machine->config().owner;
       // Shift the owner's aggregate capacity by the machine's delta, then
-      // rebuild the flow analysis + scheduler against the new graph.
+      // rebuild the flow analysis + scheduler against the new graph
+      // (agreements are interpreted dynamically, §2.2).
       const double delta = event.capacity - machine->config().capacity;
       machine->set_capacity(event.capacity);
       graph.set_capacity(owner, std::max(0.0, graph.capacity(owner) + delta));
-      site.scheduler->replace(build_scheduler(config, graph, plan_pool));
+      site.scheduler->replace(build_scheduler(config, graph));
     });
   }
   arm_backlog_probe(site);

@@ -15,10 +15,6 @@
 #include "util/table.hpp"
 #include "util/time.hpp"
 
-namespace sharegrid {
-class WorkerPool;
-}  // namespace sharegrid
-
 namespace sharegrid::experiments {
 
 /// Which prototype layer handles redirection (§4).
@@ -68,13 +64,6 @@ struct ScenarioConfig {
   /// Income scheduler inputs (ignored for response-time).
   std::string provider;
   std::vector<double> prices;
-  /// Multi-provider income mode: when non-empty, each named principal runs
-  /// its own per-window income LP over its entitlement columns and the plans
-  /// are merged (src/sched/multi_provider_scheduler.hpp); `provider` is then
-  /// ignored. Plans are identical whatever `plan_solver_threads` is.
-  std::vector<std::string> providers;
-  /// Worker threads for the per-provider plan solves (0 = solve serially).
-  std::size_t plan_solver_threads = 0;
 
   /// Locality caps c_k (§3.1.2 extension): at most this many requests/sec
   /// may be pushed to principal k's servers per window, modeling forwarding
@@ -196,8 +185,8 @@ struct ScenarioResult {
 /// phase schedule, runs the simulation for `duration_sec`, and reports. The
 /// classic run (clusters == 0) builds one site on a Simulator; a clustered
 /// run builds one per ShardedSimulator domain and requires layer == kL4,
-/// redirector_count == 1, tree_link_delay > 0, tree_fanout == 0, no
-/// capacity events and serial plan solves (see ScenarioConfig::clusters).
+/// redirector_count == 1, tree_link_delay > 0, tree_fanout == 0 and no
+/// capacity events (see ScenarioConfig::clusters).
 /// Sites are merged in index order, so a clustered result is the same for
 /// any `sim_shards`.
 ScenarioResult run_scenario(const ScenarioConfig& config);
@@ -207,11 +196,9 @@ core::PrincipalId resolve_principal(const core::AgreementGraph& graph,
                                     const std::string& name);
 
 /// The plan solver both runners build from `config.scheduler` (response
-/// time, multi-provider or income) over @p graph, whose capacities are
-/// already set from the declared machines. Multi-provider plans fan out on
-/// @p plan_pool (nullptr = serial solves).
+/// time or income) over @p graph, whose capacities are already set from the
+/// declared machines.
 std::unique_ptr<sched::Scheduler> build_scheduler(
-    const ScenarioConfig& config, const core::AgreementGraph& graph,
-    std::shared_ptr<WorkerPool> plan_pool);
+    const ScenarioConfig& config, const core::AgreementGraph& graph);
 
 }  // namespace sharegrid::experiments

@@ -1,6 +1,8 @@
 #include "experiments/scenario_ini.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -10,6 +12,24 @@ namespace {
 
 [[noreturn]] void fail(const std::string& message) {
   throw ContractViolation("scenario: " + message);
+}
+
+/// Reads the optional integer setting @p key of @p section. A negative,
+/// fractional or non-finite value, or one past 2^64, is a scenario error
+/// rather than a silent cast.
+std::optional<std::uint64_t> get_count(const IniSection& section,
+                                       const std::string& key) {
+  const auto value = section.get_double(key);
+  if (!value) return std::nullopt;
+  if (!(*value >= 0.0 && *value < 0x1p64) || *value != std::floor(*value)) {
+    const std::string where =
+        section.name.empty() ? key
+                             : section.name + "." + key + " (line " +
+                                   std::to_string(section.line) + ")";
+    fail(where + " must be a non-negative integer, got '" +
+         *section.get_string(key) + "'");
+  }
+  return static_cast<std::uint64_t>(*value);
 }
 
 /// Parses "0-125, 250-375" into second-ranges.
@@ -61,42 +81,31 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   }
   if (const auto provider = g.get_string("provider"))
     config.provider = *provider;
-  // Comma-separated principal names, e.g. "providers = S1, S2"; names are
-  // validated against the [principal] sections below.
-  if (const auto providers = g.get_string("providers")) {
-    std::stringstream ss(*providers);
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-      const std::size_t first = token.find_first_not_of(" \t");
-      if (first == std::string::npos) continue;
-      const std::size_t last = token.find_last_not_of(" \t");
-      config.providers.push_back(token.substr(first, last - first + 1));
-    }
-    if (config.providers.empty()) fail("providers list is empty");
-  }
-  if (const auto threads = g.get_double("plan_solver_threads"))
-    config.plan_solver_threads = static_cast<std::size_t>(*threads);
+  // Ignoring the key would quietly run a single-provider income plan.
+  if (g.get_string("providers"))
+    fail("providers: multi-provider income planning was removed; an income "
+         "scenario names its one resource owner with 'provider'");
   config.duration_sec = g.get_double("duration").value_or(100.0);
   if (const auto window_ms = g.get_double("window_ms"))
     config.window = milliseconds(*window_ms);
-  if (const auto redirectors = g.get_double("redirectors"))
-    config.redirector_count = static_cast<std::size_t>(*redirectors);
+  if (const auto redirectors = get_count(g, "redirectors")) {
+    if (*redirectors < 1) fail("redirectors must be >= 1");
+    config.redirector_count = *redirectors;
+  }
   if (const auto delay = g.get_double("tree_link_delay"))
     config.tree_link_delay = seconds(*delay);
   // Cluster-partitioned mode: replicate the declared site `clusters` times,
   // one simulation domain each, run on `sim_shards` worker lanes;
   // `client_scale` multiplies every declared client machine (both modes).
-  if (const auto clusters = g.get_double("clusters")) {
-    if (*clusters < 0.0) fail("clusters must be >= 0");
-    config.clusters = static_cast<std::size_t>(*clusters);
+  if (const auto clusters = get_count(g, "clusters"))
+    config.clusters = *clusters;
+  if (const auto shards = get_count(g, "sim_shards")) {
+    if (*shards < 1) fail("sim_shards must be >= 1");
+    config.sim_shards = *shards;
   }
-  if (const auto shards = g.get_double("sim_shards")) {
-    if (*shards < 1.0) fail("sim_shards must be >= 1");
-    config.sim_shards = static_cast<std::size_t>(*shards);
-  }
-  if (const auto scale = g.get_double("client_scale")) {
-    if (*scale < 1.0) fail("client_scale must be >= 1");
-    config.client_scale = static_cast<std::size_t>(*scale);
+  if (const auto scale = get_count(g, "client_scale")) {
+    if (*scale < 1) fail("client_scale must be >= 1");
+    config.client_scale = *scale;
   }
   if (const auto policy = g.get_string("stale_policy")) {
     if (*policy == "conservative")
@@ -114,10 +123,9 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     else
       fail("l7_mode must be 'credit' or 'explicit'");
   }
-  if (const auto seed = g.get_double("seed"))
-    config.seed = static_cast<std::uint64_t>(*seed);
-  if (const auto cap = g.get_double("max_outstanding"))
-    config.max_outstanding = static_cast<std::size_t>(*cap);
+  if (const auto seed = get_count(g, "seed")) config.seed = *seed;
+  if (const auto cap = get_count(g, "max_outstanding"))
+    config.max_outstanding = *cap;
   if (const auto weighted = g.get_bool("weighted_admission"))
     config.weighted_admission = *weighted;
 
@@ -129,11 +137,10 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     fail("at most one [control_plane] section is allowed");
   if (!cp_sections.empty()) {
     const IniSection& cp = *cp_sections.front();
-    if (const auto fanout = cp.get_double("tree_fanout")) {
-      if (*fanout != 0.0 && *fanout < 2.0)
-        fail("control_plane.tree_fanout must be 0 (star) or >= 2, got " +
-             std::to_string(*fanout));
-      config.tree_fanout = static_cast<std::size_t>(*fanout);
+    if (const auto fanout = get_count(cp, "tree_fanout")) {
+      if (*fanout == 1)
+        fail("control_plane.tree_fanout must be 0 (star) or >= 2, got 1");
+      config.tree_fanout = *fanout;
     }
     if (const auto period_ms = cp.get_double("snapshot_period_ms")) {
       if (!(*period_ms > 0.0))
@@ -235,10 +242,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
            name + "'");
     return id;
   };
-  for (const std::string& name : config.providers)
-    if (config.graph.find(name) == core::kNoPrincipal)
-      fail("providers references unknown principal '" + name + "'");
-
   // --- Agreements ------------------------------------------------------------
   for (const IniSection* a : doc.all("agreement")) {
     config.graph.set_agreement(principal_id(a->require_string("owner"), *a),
@@ -261,8 +264,11 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     spec.name = c->require_string("name");
     spec.principal = c->require_string("principal");
     principal_id(spec.principal, *c);
-    spec.redirector =
-        static_cast<std::size_t>(c->get_double("redirector").value_or(0.0));
+    spec.redirector = get_count(*c, "redirector").value_or(0);
+    if (spec.redirector >= config.redirector_count)
+      fail("client (line " + std::to_string(c->line) +
+           ") dials redirector index " + std::to_string(spec.redirector) +
+           " but redirectors = " + std::to_string(config.redirector_count));
     spec.rate = c->require_double("rate");
     spec.active_sec = parse_ranges(c->require_string("active"));
     config.clients.push_back(std::move(spec));
@@ -280,7 +286,8 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   for (const IniSection* e : doc.all("capacity_event")) {
     CapacityEvent event;
     event.time_sec = e->require_double("time");
-    event.server = static_cast<std::size_t>(e->require_double("server"));
+    e->require_string("server");  // names the section when missing
+    event.server = *get_count(*e, "server");
     event.capacity = e->require_double("capacity");
     if (event.server >= config.servers.size())
       fail("capacity_event (line " + std::to_string(e->line) +

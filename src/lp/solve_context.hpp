@@ -208,7 +208,7 @@ struct SolveStats {
 /// Reusable solve pipeline: owns the prepared standard form, the cached
 /// optimal basis and its eta-file inverse, and all pivot scratch space. One
 /// context per logically-recurring program (e.g. one per scheduler stage);
-/// contexts are not thread-safe — callers serialize access.
+/// contexts are not thread-safe — one caller at a time.
 class SolveContext {
  public:
   SolveContext();

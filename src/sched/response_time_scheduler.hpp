@@ -15,7 +15,6 @@
 #include "core/flow.hpp"
 #include "lp/solve_context.hpp"
 #include "sched/scheduler.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace sharegrid::sched {
 
@@ -24,8 +23,6 @@ struct ResponseTimeOptions {
   /// Per-server locality caps c_k (requests/sec a redirector may push to
   /// server k per window); empty = unlimited (the paper's base model).
   std::vector<double> locality_caps;
-  /// Run the work-conserving second stage (on by default).
-  bool work_conserving = true;
 };
 
 /// Max-min fairness over agreement entitlements via two-stage LP.
@@ -50,8 +47,7 @@ class ResponseTimeScheduler final : public Scheduler {
   lp::SolveStats solver_stats() const;
 
  private:
-  Plan fallback_plan(std::vector<double> demand) const
-      SHAREGRID_REQUIRES(mutex_);
+  Plan fallback_plan(std::vector<double> demand) const;
 
   std::vector<double> capacities_;
   core::AccessLevels levels_;
@@ -59,15 +55,14 @@ class ResponseTimeScheduler final : public Scheduler {
 
   // Warm-start solver caches, one per LP stage so each stage re-enters from
   // its own previous basis (the stage programs have different layouts).
-  // plan() stays const — these only affect solve speed and the
-  // iteration-limit fallback — and the mutex serializes concurrent callers.
-  mutable util::Mutex mutex_;
-  mutable lp::SolverOptions solver_options_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext stage1_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext retry_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext stage2_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable Plan last_plan_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable bool has_last_plan_ SHAREGRID_GUARDED_BY(mutex_) = false;
+  // plan() stays const: these only affect solve speed and the
+  // iteration-limit fallback.
+  lp::SolverOptions solver_options_;
+  mutable lp::SolveContext stage1_context_;
+  mutable lp::SolveContext retry_context_;
+  mutable lp::SolveContext stage2_context_;
+  mutable Plan last_plan_;
+  mutable bool has_last_plan_ = false;
 };
 
 }  // namespace sharegrid::sched

@@ -10,12 +10,14 @@ namespace sharegrid::sched {
 /// Computes admission plans from (estimated) global per-principal demand.
 ///
 /// Implementations behave as functions of their configuration plus the
-/// demand argument, so one instance may be shared by every redirector in a
-/// simulation (or called concurrently from multiple threads). They may keep
-/// internal solver caches — warm-start bases, previous plans for
-/// iteration-limit fallback (Plan::lp_fallback) — but must serialize access
-/// to them so concurrent plan() calls stay safe; the caches influence only
-/// how fast a plan is found, never which allocations are feasible.
+/// demand argument, so one instance may serve every redirector member of a
+/// control plane. plan() takes no lock, so it has one caller at a time:
+/// each sim site's ControlPlane, each live service's event-loop thread and
+/// each socket-fleet process owns its scheduler. Implementations
+/// may keep internal solver caches — warm-start bases, previous plans for
+/// iteration-limit fallback (Plan::lp_fallback) — which is why plan() is
+/// const over `mutable` state; the caches influence only how fast a plan is
+/// found, never which allocations are feasible.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

@@ -25,8 +25,9 @@ ShardedSimulator::ShardedSimulator(std::size_t domains, Options options)
     : options_(options),
       outboxes_(domains),
       // `shards` counts lanes including the caller; run_indexed() has the
-      // caller participate, so the pool itself holds shards - 1 threads.
-      pool_(options.shards > 0 ? options.shards - 1 : 0) {
+      // caller participate, and a lane beyond the domain count would only
+      // idle, so the pool holds min(shards, domains) - 1 threads.
+      pool_(std::max<std::size_t>(std::min(options.shards, domains), 1) - 1) {
   SHAREGRID_EXPECTS(domains >= 1);
   SHAREGRID_EXPECTS(options.lookahead > 0);
   SHAREGRID_EXPECTS(options.shards >= 1);

@@ -50,9 +50,9 @@ class ShardedSimulator {
     /// epoch [T, T + lookahead) runs must be for time >= T + lookahead.
     /// In the scenarios this is the combining tree's link delay.
     SimDuration lookahead = 0;
-    /// Parallel lanes (worker threads incl. the caller). 1 = run domains
-    /// serially in index order — the audit oracle. Results are identical
-    /// for every value by construction.
+    /// Parallel lanes (worker threads incl. the caller), capped at the
+    /// domain count. 1 = run domains serially in index order — the audit
+    /// oracle. Results are identical for every value by construction.
     std::size_t shards = 1;
   };
 

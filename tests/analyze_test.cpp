@@ -260,22 +260,46 @@ TEST(AnalyzeRules, CoordSingleThreadedFiresOnThreadIncludesInCoord) {
       {header("coord/session_manager.hpp",
               "#include <thread>\n#include <mutex>\n#include <atomic>\n"
               "#include \"util/thread_annotations.hpp\"\n#include <vector>")},
-      "coord-single-threaded");
+      "single-threaded");
   ASSERT_EQ(v.size(), 4u);
   EXPECT_NE(v[0].message.find("<thread>"), std::string::npos);
   EXPECT_NE(v[1].message.find("<mutex>"), std::string::npos);
   EXPECT_NE(v[2].message.find("<atomic>"), std::string::npos);
   EXPECT_NE(v[3].message.find("thread_annotations.hpp"), std::string::npos);
   EXPECT_EQ(v[3].line, 5u);  // header() puts #pragma once on line 1
-  // The ban covers every coord file, and only coord files.
+  // The ban covers every coord file, and not the live layer.
   EXPECT_EQ(violations_of({header("coord/round_protocol.cpp",
                                   "#include <mutex>")},
-                          "coord-single-threaded")
+                          "single-threaded")
                 .size(),
             1u);
   EXPECT_TRUE(violations_of({header("live/event_loop.hpp",
                                     "#include <thread>\n#include <atomic>")},
-                            "coord-single-threaded")
+                            "single-threaded")
+                  .empty());
+}
+
+TEST(AnalyzeRules, SingleThreadedFiresOnThreadIncludesInSched) {
+  // Each scheduler has one plan() caller at a time, so src/sched needs no
+  // lock: a mutex and its annotations there are violations.
+  const auto v = violations_of(
+      {header("sched/response_time_scheduler.hpp",
+              "#include <mutex>\n#include \"util/thread_annotations.hpp\"\n"
+              "#include \"lp/solve_context.hpp\"")},
+      "single-threaded");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_NE(v[0].message.find("<mutex>"), std::string::npos);
+  EXPECT_NE(v[1].message.find("thread_annotations.hpp"), std::string::npos);
+  EXPECT_EQ(violations_of({header("sched/income_scheduler.cpp",
+                                  "#include <thread>\n#include <atomic>")},
+                          "single-threaded")
+                .size(),
+            2u);
+  // util/ keeps the pool and the metrics registry, which do hold locks.
+  EXPECT_TRUE(violations_of({header("util/worker_pool.hpp",
+                                    "#include <thread>\n"
+                                    "#include \"util/thread_annotations.hpp\"")},
+                            "single-threaded")
                   .empty());
 }
 

@@ -242,6 +242,69 @@ TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
                ContractViolation);
 }
 
+TEST(ScenarioIni, RejectsCountsThatAreNotNonNegativeIntegers) {
+  using namespace experiments;
+  const std::string base = kMinimalScenario;
+  // Global keys go first: the global section ends at the first header.
+  const struct {
+    const char* key;
+    std::string text;
+  } rows[] = {
+      {"redirectors", "redirectors = -1\n" + base},
+      {"redirectors", "redirectors = 2.7\n" + base},
+      {"max_outstanding", "max_outstanding = -1\n" + base},
+      {"seed", "seed = 1e30\n" + base},
+      {"clusters", "clusters = 0.5\n" + base},
+      {"sim_shards", "sim_shards = nan\n" + base},
+      {"client_scale", "client_scale = inf\n" + base},
+      {"client.redirector",
+       base + "[client]\nname = X\nprincipal = A\nredirector = -1\n"
+              "rate = 1\nactive = 0-1\n"},
+      {"capacity_event.server",
+       base + "[capacity_event]\ntime = 1\nserver = -1\ncapacity = 10\n"},
+  };
+  for (const auto& row : rows) {
+    try {
+      scenario_from_ini(parse_ini(row.text));
+      ADD_FAILURE() << row.key << " was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("scenario: ", 0), 0u) << what;
+      EXPECT_NE(what.find(row.key), std::string::npos) << what;
+      EXPECT_NE(what.find("must be a non-negative integer"), std::string::npos)
+          << what;
+    }
+  }
+  // An index past the declared redirectors is a loader error too, not a
+  // precondition failure deep inside the run.
+  EXPECT_THROW(
+      scenario_from_ini(parse_ini(
+          base + "[client]\nname = X\nprincipal = A\nredirector = 1\n"
+                 "rate = 1\nactive = 0-1\n")),
+      ContractViolation);
+  // Whole values still load, with their meaning unchanged.
+  const ScenarioConfig config = scenario_from_ini(
+      parse_ini("redirectors = 2\nmax_outstanding = 0\nseed = 7\n" + base));
+  EXPECT_EQ(config.redirector_count, 2u);
+  EXPECT_EQ(config.max_outstanding, 0u);
+  EXPECT_EQ(config.seed, 7u);
+}
+
+TEST(ScenarioIni, ProvidersKeyFailsNamingTheRemoval) {
+  using namespace experiments;
+  const std::string text =
+      "provider = A\nproviders = A, B\n" + std::string(kMinimalScenario);
+  try {
+    scenario_from_ini(parse_ini(text));
+    FAIL() << "a providers list must not load as a single-provider plan";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "multi-provider income planning was removed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioIni, MissingFileThrows) {
   EXPECT_THROW(parse_ini_file("/nonexistent/path.ini"), ContractViolation);
 }

@@ -118,14 +118,11 @@ TEST(ResponseTimeScheduler, LocalityCapsLimitPerServerPush) {
   EXPECT_NEAR(plan.admitted(a), 130.0, 1e-6);
 }
 
-TEST(ResponseTimeScheduler, WorkConservationCanBeDisabled) {
+TEST(ResponseTimeScheduler, ThetaIsTheStageOneOptimum) {
   const auto g = two_customer_graph(320.0, 0.2, 1.0, 0.8, 1.0);
-  ResponseTimeOptions opt;
-  opt.work_conserving = false;
-  const Plan plan = ResponseTimeScheduler(g, core::compute_access_levels(g),
-                                          opt)
-                        .plan({0.0, 270.0, 135.0});
-  // Theta itself is unchanged; only the surplus distribution may differ.
+  const Plan plan = make_rts(g).plan({0.0, 270.0, 135.0});
+  // The work-conserving second stage redistributes surplus at fixed theta;
+  // the reported theta is still stage 1's max-min optimum.
   EXPECT_NEAR(plan.theta, 185.0 / 270.0, 1e-6);
 }
 
@@ -239,19 +236,6 @@ TEST(IncomeScheduler, WorkConservationServesFreeTraffic) {
   EXPECT_NEAR(loaded.admitted(0), 192.0, 1e-4);
   EXPECT_NEAR(loaded.admitted(1), 320.0, 1e-4);
   EXPECT_NEAR(loaded.admitted(2), 128.0, 1e-4);
-}
-
-TEST(IncomeScheduler, NonWorkConservingLeavesFreeTrafficAtFloor) {
-  const auto g = two_customer_graph(640.0, 0.5, 0.8, 0.2, 0.4);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
-                                  {0.0, 2.0, 1.0},
-                                  /*work_conserving=*/false);
-  const Plan plan = scheduler.plan({300.0, 0.0, 0.0});
-  // Provider's own zero-price traffic gains nothing beyond its floor.
-  EXPECT_NEAR(plan.admitted(0), std::min(300.0,
-                                         core::compute_access_levels(g)
-                                             .mandatory_capacity[0]),
-              1e-5);
 }
 
 TEST(IncomeScheduler, IncomeComputation) {

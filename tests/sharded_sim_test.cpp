@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/sharded_simulator.hpp"
+#include "test_helpers.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid {
@@ -149,6 +150,22 @@ TEST(ShardedSimulator, RepeatedRunUntilContinues) {
   EXPECT_GT(count, after_first);
   EXPECT_EQ(sharded.now(), 200);
   tick.cancel();
+}
+
+TEST(ShardedSimulator, LanesBeyondTheDomainCountStartNoThreads) {
+  // Two domains keep at most two lanes busy, the caller and one worker, so
+  // asking for 16 lanes must not start 15 pool threads. A first pool is
+  // built before counting: under TSan the first thread a process creates
+  // also starts the sanitizer's own background thread.
+  const ShardedSimulator warm_up(2, options(10, 2));
+  const std::size_t before = test::thread_count();
+  ShardedSimulator sharded(2, options(10, 16));
+  EXPECT_LE(test::thread_count(), before + 1);
+  int count = 0;
+  sharded.domain(0).schedule_at(5, [&count] { ++count; });
+  sharded.domain(1).schedule_at(15, [&count] { ++count; });
+  sharded.run_until(100);
+  EXPECT_EQ(count, 2);
 }
 
 }  // namespace

@@ -316,18 +316,22 @@ void check_sans_io(const AnalyzedFile& file, std::vector<Violation>* out) {
       out);
 }
 
-/// coord-single-threaded: the control plane runs entirely on its caller's
-/// thread — the session layer does its socket I/O inside poll() — so no
-/// src/coord file may include the thread, lock or atomic headers.
-void check_coord_single_threaded(const AnalyzedFile& file,
-                                 std::vector<Violation>* out) {
-  if (file.canonical.rfind("coord/", 0) != 0) return;
+/// single-threaded: the control plane and the plan solvers run entirely on
+/// their caller's thread — the session layer does its socket I/O inside
+/// poll(), and each scheduler has one caller at a time — so no src/coord or
+/// src/sched file may include the thread, lock or atomic headers.
+void check_single_threaded(const AnalyzedFile& file,
+                           std::vector<Violation>* out) {
+  if (file.canonical.rfind("coord/", 0) != 0 &&
+      file.canonical.rfind("sched/", 0) != 0)
+    return;
   check_banned_includes(
       file,
       {"<thread>", "<mutex>", "<atomic>", "\"util/thread_annotations.hpp\""},
-      "coord-single-threaded",
-      "; the control plane runs on its caller's thread, so it needs no "
-      "thread, lock or atomic (docs/control-plane.md)",
+      "single-threaded",
+      "; the control plane and the plan solvers run on their caller's "
+      "thread, so they need no thread, lock or atomic "
+      "(docs/static-analysis.md)",
       out);
 }
 
@@ -403,7 +407,7 @@ void check_source_rules(const AnalyzedFile& file, std::vector<Violation>* out) {
 
   check_window_scheduler_ownership(file, out);
   check_sans_io(file, out);
-  check_coord_single_threaded(file, out);
+  check_single_threaded(file, out);
   check_mutex_annotated(file, out);
   check_nodiscard_status(file, out);
 }

@@ -44,7 +44,7 @@ struct AnalyzedFile {
 
 /// All single-file source rules: no-raw-assert, no-stdout, no-raw-rng,
 /// pragma-once, coord-owns-windows, no-wall-clock, no-unordered-iteration,
-/// sans-io, coord-single-threaded, mutex-annotated, nodiscard-status.
+/// sans-io, single-threaded, mutex-annotated, nodiscard-status.
 void check_source_rules(const AnalyzedFile& file, std::vector<Violation>* out);
 
 /// warnings-linked: a CMakeLists.txt defining a compiled target must link
