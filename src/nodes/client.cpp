@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "nodes/inline_schedule.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid::nodes {
@@ -39,8 +40,7 @@ void ClientMachine::schedule_next_arrival() {
                              ? rng_.exponential(mean_gap)
                              : mean_gap;
   const auto gap = std::max<SimDuration>(1, seconds(gap_sec));
-  sim_->schedule_after(gap, [this, alive = alive_] {
-    if (!*alive) return;
+  schedule_after(sim_, gap, [this] {
     if (!active_) {
       loop_armed_ = false;  // generation stops; reactivation re-arms
       return;
@@ -54,9 +54,9 @@ void ClientMachine::emit() {
   Request req;
   req.id = (static_cast<std::uint64_t>(config_.index) << 32) |
            next_request_id_++;
-  req.principal = config_.principal;
+  req.principal = static_cast<std::uint32_t>(config_.principal);
   req.created = sim_->now();
-  req.client = config_.index;
+  req.client = static_cast<std::uint32_t>(config_.index);
   if (sizes_ != nullptr) {
     const workload::SampledRequest sample = sizes_->sample(rng_);
     req.reply_bytes = sample.reply_bytes;
@@ -71,8 +71,7 @@ void ClientMachine::emit() {
 }
 
 void ClientMachine::send_to_redirector(const Request& request) {
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request] {
-    if (!*alive) return;
+  schedule_after(sim_, config_.net_delay, [this, request] {
     redirector_->on_client_request(request, this);
   });
 }
@@ -81,16 +80,15 @@ void ClientMachine::on_redirect_to_server(const Request& request,
                                           Server* server) {
   SHAREGRID_EXPECTS(server != nullptr);
   // One hop to reach the assigned server, then service, then the reply hop.
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request,
-                                           server] {
-    if (!*alive) return;
-    server->submit(request, [this, alive](const Request& done) {
-      sim_->schedule_after(config_.net_delay, [this, alive, done] {
-        if (!*alive) return;
-        on_response(done);
-      });
-    });
+  schedule_after(sim_, config_.net_delay, [this, request, server] {
+    server->submit(request, this);
   });
+}
+
+void ClientMachine::on_service_done(const Request& request,
+                                    std::uint32_t /*tag*/) {
+  schedule_after(sim_, config_.net_delay,
+                 [this, request] { on_response(request); });
 }
 
 void ClientMachine::on_self_redirect(const Request& request) {
@@ -101,11 +99,8 @@ void ClientMachine::on_self_redirect(const Request& request) {
   // request rejected in one window comes back in the same later window,
   // alternately overflowing and starving the quota.
   const double delay_sec = config_.retry_delay_sec * rng_.uniform(0.6, 1.4);
-  sim_->schedule_after(seconds(delay_sec),
-                       [this, alive = alive_, request] {
-                         if (!*alive) return;
-                         send_to_redirector(request);
-                       });
+  schedule_after(sim_, seconds(delay_sec),
+                 [this, request] { send_to_redirector(request); });
 }
 
 void ClientMachine::on_response(const Request& request) {

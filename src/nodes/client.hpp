@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "nodes/metrics.hpp"
 #include "nodes/request.hpp"
@@ -53,7 +52,10 @@ class RedirectorBase {
 };
 
 /// One load-generating machine tied to one organization and one redirector.
-class ClientMachine final : public RequestSource {
+/// Its events capture only `this` (and the request in flight): the machine
+/// must outlive every simulator run that could fire them (node-lifetime
+/// contract, nodes/inline_schedule.hpp).
+class ClientMachine final : public RequestSource, public ServiceListener {
  public:
   struct Config {
     core::PrincipalId principal = core::kNoPrincipal;
@@ -75,7 +77,6 @@ class ClientMachine final : public RequestSource {
 
   ClientMachine(const ClientMachine&) = delete;
   ClientMachine& operator=(const ClientMachine&) = delete;
-  ~ClientMachine() override { *alive_ = false; }
 
   /// Turns generation on/off (phase schedule). Outstanding requests keep
   /// draining after deactivation.
@@ -86,6 +87,9 @@ class ClientMachine final : public RequestSource {
   void on_redirect_to_server(const Request& request, Server* server) override;
   void on_self_redirect(const Request& request) override;
   void on_response(const Request& request) override;
+
+  // ServiceListener: the L7 server finished; the reply hop follows.
+  void on_service_done(const Request& request, std::uint32_t tag) override;
 
   std::size_t outstanding() const { return outstanding_; }
   const Config& config() const { return config_; }
@@ -109,7 +113,6 @@ class ClientMachine final : public RequestSource {
   bool loop_armed_ = false;
   std::size_t outstanding_ = 0;
   std::uint64_t next_request_id_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace sharegrid::nodes

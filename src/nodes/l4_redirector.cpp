@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "nodes/inline_schedule.hpp"
 #include "util/assert.hpp"
 #include "util/metrics_registry.hpp"
 
@@ -90,7 +91,7 @@ void L4Redirector::on_packet(const l4::Packet& packet, RequestSource* from) {
 
   Request request;
   request.id = packet.request_id;
-  request.principal = p;
+  request.principal = static_cast<std::uint32_t>(p);
   request.weight = packet.weight;
   request.created = sim_->now();
   request.client = packet.src.host - 0x0C000000u;
@@ -141,29 +142,41 @@ void L4Redirector::forward_to(const Held& held, Server* server) {
                    server->config().endpoint);
   const l4::Packet rewritten = l4::ConnectionTable::rewrite_to_server(
       held.packet, server->config().endpoint);
-  (void)rewritten;  // header rewrite modeled; payload path is the callback
+  (void)rewritten;  // header rewrite modeled; payload path is the slot
 
-  RequestSource* from = held.from;
-  const l4::Packet original = held.packet;
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request =
-                                               held.request, original, from,
-                                           server] {
-    if (!*alive) return;
-    server->submit(request, [this, alive, original, from](const Request& done) {
-      if (!*alive) return;
-      // Reply path: server -> redirector (reverse NAT) -> client.
-      const l4::Packet reply = l4::ConnectionTable::rewrite_to_client(
-          original, original.dst, original.src);
-      (void)reply;
-      in_flight_[done.principal] -= 1.0;
-      table_.release(original.src, original.dst);
-      sim_->schedule_after(
-          2 * config_.net_delay, [alive, from, done] {
-            if (!*alive) return;
-            from->on_response(done);
-          });
-    });
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(connections_.size());
+    connections_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  connections_[slot] = {held.packet, held.request, held.from, server};
+  schedule_after(sim_, config_.net_delay, [this, slot] {
+    const Connection& c = connections_[slot];
+    c.server->submit(c.request, this, slot);
   });
+}
+
+void L4Redirector::on_service_done(const Request& request,
+                                   std::uint32_t slot) {
+  // Reply path: server -> redirector (reverse NAT) -> client.
+  const l4::Packet& original = connections_[slot].packet;
+  const l4::Packet reply = l4::ConnectionTable::rewrite_to_client(
+      original, original.dst, original.src);
+  (void)reply;
+  in_flight_[request.principal] -= 1.0;
+  table_.release(original.src, original.dst);
+  schedule_after(sim_, 2 * config_.net_delay,
+                 [this, slot] { deliver_reply(slot); });
+}
+
+void L4Redirector::deliver_reply(std::uint32_t slot) {
+  RequestSource* from = connections_[slot].from;
+  const Request request = connections_[slot].request;
+  free_slots_.push_back(slot);
+  from->on_response(request);
 }
 
 void L4Redirector::flush_metrics() {

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,8 +31,11 @@
 
 namespace sharegrid::nodes {
 
-/// NAT (Layer-4) redirector node.
-class L4Redirector final : public RedirectorBase {
+/// NAT (Layer-4) redirector node. Each admitted connection lives in a slot
+/// until its reply reaches the client, so the hop events capture only
+/// {this, slot} and no liveness flag (node-lifetime contract,
+/// nodes/inline_schedule.hpp).
+class L4Redirector final : public RedirectorBase, public ServiceListener {
  public:
   struct Config {
     std::string name;
@@ -51,7 +53,6 @@ class L4Redirector final : public RedirectorBase {
                coord::ControlPlane::Member* member, Config config);
   ~L4Redirector() override {
     flush_metrics();  // counts since the last window boundary
-    *alive_ = false;
   }
 
   /// Virtual service endpoint for a principal's service (what clients dial).
@@ -64,6 +65,10 @@ class L4Redirector final : public RedirectorBase {
 
   /// Packet-level entry point (also used directly by tests).
   void on_packet(const l4::Packet& packet, RequestSource* from);
+
+  // ServiceListener: the server finished connection @p slot; reverse-NAT
+  // the reply and send it on to the client.
+  void on_service_done(const Request& request, std::uint32_t slot) override;
 
   /// Local demand estimate; delegates to the control plane (kept for tests).
   std::vector<double> local_demand() const;
@@ -83,6 +88,14 @@ class L4Redirector final : public RedirectorBase {
     Request request;
     RequestSource* from;
   };
+  /// An admitted connection, from its SYN until the reply reaches the
+  /// client.
+  struct Connection {
+    l4::Packet packet;
+    Request request;
+    RequestSource* from = nullptr;
+    Server* server = nullptr;
+  };
 
   void on_window_begun(SimTime now);
   /// Flushes admitted/dropped deltas to the global metrics registry; called
@@ -92,6 +105,8 @@ class L4Redirector final : public RedirectorBase {
   /// Admission decision for a SYN; true when forwarded.
   bool try_forward(const Held& held);
   void forward_to(const Held& held, Server* server);
+  /// The reply reached the client: frees @p slot and tells the source.
+  void deliver_reply(std::uint32_t slot);
 
   sim::Simulator* sim_;
   Metrics* metrics_;
@@ -106,12 +121,15 @@ class L4Redirector final : public RedirectorBase {
   /// these requests still hold client slots and must count as demand or the
   /// closed loop locks in below the agreement levels.
   std::vector<double> in_flight_;
+  /// Admitted connections by slot; free slots are reused LIFO, so after
+  /// warm-up admitting a connection touches no heap.
+  std::vector<Connection> connections_;
+  std::vector<std::uint32_t> free_slots_;
 
   std::uint64_t drops_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t flushed_drops_ = 0;
   std::uint64_t flushed_admitted_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace sharegrid::nodes

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "nodes/inline_schedule.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid::nodes {
@@ -85,10 +86,8 @@ void L7Redirector::on_client_request(const Request& request,
   // Out of quota: 302 back to ourselves; the client retries (implicit
   // queuing — the queue lives at the clients, not here).
   ++self_redirects_;
-  sim_->schedule_after(config_.net_delay, [from, request, alive = alive_] {
-    if (!*alive) return;
-    from->on_self_redirect(request);
-  });
+  schedule_after(sim_, config_.net_delay,
+                 [from, request] { from->on_self_redirect(request); });
 }
 
 void L7Redirector::admit_and_redirect(const Request& request,
@@ -97,11 +96,9 @@ void L7Redirector::admit_and_redirect(const Request& request,
   Server* server = servers_->pick(owner);
   SHAREGRID_ASSERT(server != nullptr);
   ++admitted_;
-  sim_->schedule_after(config_.net_delay,
-                       [from, request, server, alive = alive_] {
-                         if (!*alive) return;
-                         from->on_redirect_to_server(request, server);
-                       });
+  schedule_after(sim_, config_.net_delay, [from, request, server] {
+    from->on_redirect_to_server(request, server);
+  });
 }
 
 std::vector<double> L7Redirector::local_demand() const {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,9 @@
 
 namespace sharegrid::nodes {
 
-/// HTTP (Layer-7) redirector node.
+/// HTTP (Layer-7) redirector node. Its 302 events capture the client and
+/// request by value and no liveness flag (node-lifetime contract,
+/// nodes/inline_schedule.hpp).
 class L7Redirector final : public RedirectorBase {
  public:
   enum class Mode { kCreditBased, kExplicitQueue };
@@ -54,7 +55,6 @@ class L7Redirector final : public RedirectorBase {
   ///               belong to exactly one node.
   L7Redirector(sim::Simulator* sim, Metrics* metrics, ServerPool* servers,
                coord::ControlPlane::Member* member, Config config);
-  ~L7Redirector() override { *alive_ = false; }
 
   // RedirectorBase:
   void on_client_request(const Request& request, RequestSource* from) override;
@@ -91,7 +91,6 @@ class L7Redirector final : public RedirectorBase {
 
   std::uint64_t admitted_ = 0;
   std::uint64_t self_redirects_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace sharegrid::nodes

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "nodes/inline_schedule.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid::nodes {
@@ -15,8 +16,8 @@ Server::Server(sim::Simulator* sim, Metrics* metrics, Config config)
   SHAREGRID_EXPECTS(config_.owner != core::kNoPrincipal);
 }
 
-void Server::submit(const Request& request,
-                    std::function<void(const Request&)> on_complete) {
+void Server::submit(const Request& request, ServiceListener* listener,
+                    std::uint32_t tag) {
   SHAREGRID_EXPECTS(request.weight > 0.0);
   const SimTime start = std::max(sim_->now(), next_free_);
   const auto service =
@@ -25,15 +26,29 @@ void Server::submit(const Request& request,
   next_free_ = start + std::max<SimDuration>(1, service);
   units_served_ += request.weight;
 
-  sim_->schedule_at(
-      next_free_,
-      [this, alive = alive_, request, cb = std::move(on_complete)] {
-        if (!*alive) return;
-        metrics_->on_served(request.principal, sim_->now());
-        metrics_->on_reply_bytes(request.principal, sim_->now(),
-                                 request.reply_bytes);
-        if (cb) cb(request);
-      });
+  if (queued_ == jobs_.size()) {
+    std::vector<Job> bigger(std::max<std::size_t>(4, 2 * jobs_.size()));
+    for (std::size_t i = 0; i < queued_; ++i)
+      bigger[i] = jobs_[(head_ + i) & (jobs_.size() - 1)];
+    jobs_ = std::move(bigger);
+    head_ = 0;
+  }
+  jobs_[(head_ + queued_) & (jobs_.size() - 1)] = {request, listener, tag};
+  ++queued_;
+  schedule_at(sim_, next_free_, [this] { complete(); });
+}
+
+void Server::complete() {
+  SHAREGRID_ASSERT(queued_ > 0);
+  // A copy: the listener may submit again, reusing or reallocating the slot.
+  const Job job = jobs_[head_];
+  head_ = (head_ + 1) & (jobs_.size() - 1);
+  --queued_;
+  metrics_->on_served(job.request.principal, sim_->now());
+  metrics_->on_reply_bytes(job.request.principal, sim_->now(),
+                           job.request.reply_bytes);
+  if (job.listener != nullptr)
+    job.listener->on_service_done(job.request, job.tag);
 }
 
 double Server::backlog_seconds() const {

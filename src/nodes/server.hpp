@@ -2,7 +2,7 @@
 // 1 GHz PCs; here a capacity-C requests/sec service queue, DESIGN.md §4).
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "core/principal.hpp"
@@ -12,6 +12,17 @@
 #include "sim/simulator.hpp"
 
 namespace sharegrid::nodes {
+
+/// Receives a Server's completions (see Server::submit).
+class ServiceListener {
+ public:
+  /// @p request finished service at the current simulated instant; @p tag
+  /// is the value passed to submit().
+  virtual void on_service_done(const Request& request, std::uint32_t tag) = 0;
+
+ protected:
+  ~ServiceListener() = default;
+};
 
 /// A single server machine: processes requests in FIFO order at a fixed
 /// capacity (weight units per second). Completion time for a request of
@@ -26,11 +37,12 @@ class Server {
 
   Server(sim::Simulator* sim, Metrics* metrics, Config config);
 
-  /// Enqueues a request; @p on_complete fires (same simulated instant the
-  /// request finishes service) with the request. Serving is recorded in
-  /// Metrics at completion time.
-  void submit(const Request& request,
-              std::function<void(const Request&)> on_complete);
+  /// Enqueues a request. When it finishes service, serving is recorded in
+  /// Metrics and then @p listener (if any) is told, with @p tag, at the same
+  /// simulated instant. The listener must outlive the completion (the
+  /// node-lifetime contract, nodes/inline_schedule.hpp).
+  void submit(const Request& request, ServiceListener* listener = nullptr,
+              std::uint32_t tag = 0);
 
   /// Seconds of queued work ahead of a new arrival.
   double backlog_seconds() const;
@@ -45,19 +57,32 @@ class Server {
 
   const Config& config() const { return config_; }
 
-  ~Server() { *alive_ = false; }
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
  private:
+  struct Job {
+    Request request;
+    ServiceListener* listener = nullptr;
+    std::uint32_t tag = 0;
+  };
+
+  /// Completion event: finishes the oldest job. Completions fire in submit
+  /// order because next_free_ grows by at least 1 us per job, so the job
+  /// FIFO's front is always the one finishing now.
+  void complete();
+
   sim::Simulator* sim_;
   Metrics* metrics_;
   Config config_;
   SimTime next_free_ = 0;
   double units_served_ = 0.0;
-  // Completion events may still sit in the simulator queue when a server is
-  // destroyed mid-run; the shared flag makes them inert instead of dangling.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Jobs in service order: a power-of-two ring that doubles when full and
+  /// never shrinks, so a server at its steady depth queues without touching
+  /// the heap.
+  std::vector<Job> jobs_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
 };
 
 /// Maps resource-owning principals to their physical machines and picks a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nodes/inline_schedule.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid::nodes {
@@ -24,16 +25,15 @@ TraceClient::TraceClient(sim::Simulator* sim, Metrics* metrics,
 
 void TraceClient::start() {
   for (const workload::TraceEntry& entry : trace_->entries()) {
-    sim_->schedule_at(entry.time, [this, alive = alive_, entry] {
-      if (!*alive) return;
+    schedule_at(sim_, entry.time, [this, entry] {
       Request req;
       req.id = (static_cast<std::uint64_t>(config_.index) << 32) | issued_;
       ++issued_;
-      req.principal = entry.principal;
+      req.principal = static_cast<std::uint32_t>(entry.principal);
       req.weight = entry.weight;
       req.reply_bytes = entry.reply_bytes;
       req.created = sim_->now();
-      req.client = config_.index;
+      req.client = static_cast<std::uint32_t>(config_.index);
       metrics_->on_offered(req.principal, sim_->now());
       send(req);
     });
@@ -41,8 +41,7 @@ void TraceClient::start() {
 }
 
 void TraceClient::send(const Request& request) {
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request] {
-    if (!*alive) return;
+  schedule_after(sim_, config_.net_delay, [this, request] {
     redirector_->on_client_request(request, this);
   });
 }
@@ -50,26 +49,22 @@ void TraceClient::send(const Request& request) {
 void TraceClient::on_redirect_to_server(const Request& request,
                                         Server* server) {
   SHAREGRID_EXPECTS(server != nullptr);
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request,
-                                           server] {
-    if (!*alive) return;
-    server->submit(request, [this, alive](const Request& done) {
-      sim_->schedule_after(config_.net_delay, [this, alive, done] {
-        if (!*alive) return;
-        on_response(done);
-      });
-    });
+  schedule_after(sim_, config_.net_delay, [this, request, server] {
+    server->submit(request, this);
   });
+}
+
+void TraceClient::on_service_done(const Request& request,
+                                  std::uint32_t /*tag*/) {
+  schedule_after(sim_, config_.net_delay,
+                 [this, request] { on_response(request); });
 }
 
 void TraceClient::on_self_redirect(const Request& request) {
   metrics_->on_rejected(request.principal, sim_->now());
   const double delay_sec = config_.retry_delay_sec * rng_.uniform(0.6, 1.4);
-  sim_->schedule_after(std::max<SimDuration>(1, seconds(delay_sec)),
-                       [this, alive = alive_, request] {
-                         if (!*alive) return;
-                         send(request);
-                       });
+  schedule_after(sim_, std::max<SimDuration>(1, seconds(delay_sec)),
+                 [this, request] { send(request); });
 }
 
 void TraceClient::on_response(const Request& request) {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "nodes/client.hpp"
 #include "nodes/metrics.hpp"
@@ -21,8 +20,10 @@
 
 namespace sharegrid::nodes {
 
-/// Replays a RequestTrace through one redirector, open loop.
-class TraceClient final : public RequestSource {
+/// Replays a RequestTrace through one redirector, open loop. Like
+/// ClientMachine, it must outlive every simulator run that could fire its
+/// events (node-lifetime contract, nodes/inline_schedule.hpp).
+class TraceClient final : public RequestSource, public ServiceListener {
  public:
   struct Config {
     std::size_t index = 0;          ///< client id carried in requests
@@ -34,7 +35,6 @@ class TraceClient final : public RequestSource {
   TraceClient(sim::Simulator* sim, Metrics* metrics,
               RedirectorBase* redirector,
               const workload::RequestTrace* trace, Config config, Rng rng);
-  ~TraceClient() override { *alive_ = false; }
 
   TraceClient(const TraceClient&) = delete;
   TraceClient& operator=(const TraceClient&) = delete;
@@ -46,6 +46,9 @@ class TraceClient final : public RequestSource {
   void on_redirect_to_server(const Request& request, Server* server) override;
   void on_self_redirect(const Request& request) override;
   void on_response(const Request& request) override;
+
+  // ServiceListener: the L7 server finished; the reply hop follows.
+  void on_service_done(const Request& request, std::uint32_t tag) override;
 
   std::uint64_t issued() const { return issued_; }
   std::uint64_t completed() const { return completed_; }
@@ -61,7 +64,6 @@ class TraceClient final : public RequestSource {
   Rng rng_;
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace sharegrid::nodes

@@ -2,12 +2,14 @@
 //
 // std::function pays a heap allocation for any capture larger than its tiny
 // internal buffer, and the old simulator paid that price once per scheduled
-// event. sim::Callback is a move-only callable wrapper with 48 bytes of
-// inline storage — enough for every closure the node models schedule (a few
-// pointers plus a SimTime) — that only falls back to the heap for oversized
-// or throwing-move captures. Together with the freelist-recycled event nodes
-// in timing_wheel.hpp this makes the steady-state event loop allocation-free
-// (docs/sim-performance.md, DESIGN.md D8).
+// event. sim::Callback is a move-only callable wrapper with 56 bytes of
+// inline storage that only falls back to the heap for oversized or
+// throwing-move captures. Every closure on the node models' request path
+// fits: at most `this` plus a nodes::Request plus one pointer (56 bytes),
+// and the node headers static_assert it (nodes/inline_schedule.hpp).
+// Together with the freelist-recycled event nodes in timing_wheel.hpp this
+// makes the steady-state event loop allocation-free (docs/sim-performance.md,
+// DESIGN.md D8).
 #pragma once
 
 #include <cstddef>
@@ -24,11 +26,11 @@ namespace sharegrid::sim {
 /// Move-only `void()` callable with small-buffer optimization.
 class Callback {
  public:
-  /// Inline capture budget. Sized so the common closures — `this` plus a
-  /// shared_ptr liveness flag plus a timestamp, or a std::function copy —
-  /// stay allocation-free, while an EventNode still packs into one cache
-  /// line pair.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Inline capture budget: the largest node closure, {source, request,
+  /// server}, is 56 bytes. With the 8-byte ops pointer a Callback is 64
+  /// bytes (the 16-byte storage alignment leaves no padding), and an
+  /// EventNode still packs into one cache-line pair (96 bytes).
+  static constexpr std::size_t kInlineBytes = 56;
 
   Callback() noexcept = default;
   Callback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
@@ -77,6 +79,15 @@ class Callback {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// True when a callable of type @p F is stored in the inline buffer
+  /// rather than behind one heap allocation.
+  template <class F>
+  static constexpr bool fits_inline() {
+    return sizeof(F) <= kInlineBytes &&
+           alignof(F) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<F>;
+  }
+
   friend bool operator==(const Callback& cb, std::nullptr_t) noexcept {
     return cb.ops_ == nullptr;
   }
@@ -98,13 +109,6 @@ class Callback {
     // nullptr means trivially destructible: nothing to do.
     void (*destroy)(void* storage) noexcept;
   };
-
-  template <class F>
-  static constexpr bool fits_inline() {
-    return sizeof(F) <= kInlineBytes &&
-           alignof(F) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<F>;
-  }
 
   template <class F>
   static constexpr Ops kInlineOps = {
@@ -160,5 +164,8 @@ class Callback {
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(Callback) == 64,
+              "Callback must stay one inline buffer plus the ops pointer");
 
 }  // namespace sharegrid::sim

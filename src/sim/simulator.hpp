@@ -7,10 +7,12 @@
 // (DESIGN.md D4).
 //
 // The store is a hierarchical timing wheel (timing_wheel.hpp) rather than a
-// binary heap: O(1) schedule and pop instead of O(log n), and — together
-// with the small-buffer Callback (callback.hpp) and a freelist of recycled
-// event nodes — zero allocations per event in the steady state. Design
-// notes and measurements: docs/sim-performance.md, DESIGN.md D8.
+// binary heap: O(1) schedule and pop instead of O(log n). Event nodes come
+// from a freelist, and a closure of up to Callback::kInlineBytes is built
+// in the node itself, so scheduling such a closure makes no allocation once
+// the pool has grown; a larger capture costs one heap allocation per event.
+// The node models keep every closure inline (nodes/inline_schedule.hpp).
+// Design notes and measurements: docs/sim-performance.md, DESIGN.md D8.
 #pragma once
 
 #include <cstdint>

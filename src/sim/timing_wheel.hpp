@@ -40,6 +40,9 @@ struct EventNode {
   Callback fn;
 };
 
+static_assert(sizeof(EventNode) == 96,
+              "an EventNode must pack into one cache-line pair");
+
 /// Hierarchical timing wheel over EventNodes (see file comment).
 class TimingWheel {
  public:

@@ -2,6 +2,7 @@
 // and both redirector implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "coord/control_plane.hpp"
@@ -23,11 +24,25 @@ Request make_request(core::PrincipalId p, std::uint64_t id, SimTime created,
                      std::size_t client = 0) {
   Request r;
   r.id = id;
-  r.principal = p;
+  r.principal = static_cast<std::uint32_t>(p);
   r.created = created;
-  r.client = client;
+  r.client = static_cast<std::uint32_t>(client);
   return r;
 }
+
+/// Records when each submitted request finished service.
+struct Completions final : ServiceListener {
+  explicit Completions(const sim::Simulator* s) : sim(s) {}
+  void on_service_done(const Request& request, std::uint32_t tag) override {
+    ids.push_back(request.id);
+    tags.push_back(tag);
+    times.push_back(sim->now());
+  }
+  const sim::Simulator* sim;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint32_t> tags;
+  std::vector<SimTime> times;
+};
 
 // --- Server ------------------------------------------------------------------
 
@@ -36,17 +51,41 @@ TEST(Server, ServesAtConfiguredCapacity) {
   Metrics metrics(1);
   Server server(&sim, &metrics, {0, 100.0, {1, 80}});
 
-  int completions = 0;
+  Completions done(&sim);
   for (int i = 0; i < 50; ++i) {
-    server.submit(make_request(0, static_cast<std::uint64_t>(i), 0),
-                  [&](const Request&) { ++completions; });
+    server.submit(make_request(0, static_cast<std::uint64_t>(i), 0), &done,
+                  static_cast<std::uint32_t>(100 + i));
   }
   // 50 requests at 100/s take 0.5 s of busy time.
   sim.run_until(seconds(0.25));
-  EXPECT_NEAR(completions, 25, 1);
+  EXPECT_NEAR(static_cast<double>(done.ids.size()), 25.0, 1.0);
   sim.run_until(seconds(1.0));
-  EXPECT_EQ(completions, 50);
+  ASSERT_EQ(done.ids.size(), 50u);
   EXPECT_DOUBLE_EQ(server.units_served(), 50.0);
+  // Completions come back in submit order, each with its submitter's tag.
+  for (std::size_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(done.ids[i], i);
+    EXPECT_EQ(done.tags[i], 100 + i);
+  }
+}
+
+TEST(Server, JobFifoKeepsOrderAcrossGrowthAndWrapAround) {
+  sim::Simulator sim;
+  Metrics metrics(1);
+  Server server(&sim, &metrics, {0, 1000.0, {1, 80}});
+  Completions done(&sim);
+  // Interleave bursts and drains so the ring wraps and then doubles with a
+  // nonzero head.
+  std::uint64_t next = 0;
+  for (int burst : {3, 2, 7, 1, 20, 5}) {
+    for (int i = 0; i < burst; ++i)
+      server.submit(make_request(0, next++, 0), &done);
+    sim.run_until(sim.now() + 4 * kMillisecond);
+  }
+  sim.run_all();
+  ASSERT_EQ(done.ids.size(), next);
+  for (std::uint64_t i = 0; i < next; ++i) EXPECT_EQ(done.ids[i], i);
+  EXPECT_TRUE(std::is_sorted(done.times.begin(), done.times.end()));
 }
 
 TEST(Server, WeightScalesServiceTime) {
@@ -56,10 +95,11 @@ TEST(Server, WeightScalesServiceTime) {
 
   Request big = make_request(0, 1, 0);
   big.weight = 10.0;  // a 10x request takes 0.1 s at 100 units/s
-  SimTime done = -1;
-  server.submit(big, [&](const Request&) { done = sim.now(); });
+  Completions done(&sim);
+  server.submit(big, &done);
   sim.run_all();
-  EXPECT_EQ(done, seconds(0.1));
+  ASSERT_EQ(done.times.size(), 1u);
+  EXPECT_EQ(done.times[0], seconds(0.1));
 }
 
 TEST(Server, BacklogReflectsQueuedWork) {
@@ -68,8 +108,7 @@ TEST(Server, BacklogReflectsQueuedWork) {
   Server server(&sim, &metrics, {0, 100.0, {1, 80}});
   EXPECT_DOUBLE_EQ(server.backlog_seconds(), 0.0);
   for (int i = 0; i < 10; ++i)
-    server.submit(make_request(0, static_cast<std::uint64_t>(i), 0),
-                  nullptr);
+    server.submit(make_request(0, static_cast<std::uint64_t>(i), 0));
   EXPECT_NEAR(server.backlog_seconds(), 0.1, 1e-6);
 }
 
@@ -77,7 +116,7 @@ TEST(Server, RecordsServedMetrics) {
   sim::Simulator sim;
   Metrics metrics(2);
   Server server(&sim, &metrics, {0, 100.0, {1, 80}});
-  server.submit(make_request(1, 1, 0), nullptr);
+  server.submit(make_request(1, 1, 0));
   sim.run_all();
   EXPECT_EQ(metrics.served(1).total_events(), 1u);
   EXPECT_EQ(metrics.served(0).total_events(), 0u);
@@ -95,7 +134,7 @@ TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
   pool.add(&other);
 
   EXPECT_EQ(pool.pick(0), &s1);  // tie broken by declaration order
-  s1.submit(make_request(0, 1, 0), nullptr);
+  s1.submit(make_request(0, 1, 0));
   EXPECT_EQ(pool.pick(0), &s2);  // s1 now has backlog
   EXPECT_EQ(pool.pick(1), &other);
   EXPECT_EQ(pool.pick(5), nullptr);

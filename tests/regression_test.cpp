@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "lp/solve_context.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "sched/window_scheduler.hpp"
+#include "util/metrics_registry.hpp"
 #include "util/names.hpp"
 #include "util/rng.hpp"
 
@@ -232,26 +234,47 @@ TEST(Regression, DualRecoveryZeroPivotFallsBackToColdSolve) {
 }
 
 // Pin: the integer output of both scenario runners (admissions, rejections,
-// control messages, per-second served/offered counts, trace rows). Any
-// change in per-domain event creation order (DESIGN.md D4) or in RNG stream
-// splitting shows up here as a count drift, even where the figure benches'
-// shape bands would still pass.
+// control messages, per-second served/offered counts, trace rows), the
+// number of events dispatched, and the exact bits of every phase's served
+// and offered rate. Any change in per-domain event creation order
+// (DESIGN.md D4) or in RNG stream splitting shows up here as a drift, even
+// where the figure benches' shape bands would still pass; the event count
+// and the rate bits catch a reordering that leaves the integer counts alone.
 struct RunnerPin {
+  std::uint64_t events = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected_or_queued = 0;
   std::uint64_t messages = 0;
   std::vector<std::vector<std::uint64_t>> served;   // [principal][bin]
   std::vector<std::vector<std::uint64_t>> offered;  // [principal][bin]
+  std::vector<std::vector<std::uint64_t>> served_bits;   // [phase][principal]
+  std::vector<std::vector<std::uint64_t>> offered_bits;  // [phase][principal]
   std::size_t trace_rows = 0;
   std::vector<std::string> trace_names;  // in order of first appearance
 };
 
-RunnerPin pin_of(const experiments::ScenarioResult& r) {
-  RunnerPin pin{.admitted = r.total_admitted,
+std::vector<std::uint64_t> bits_of(const std::vector<double>& rates) {
+  std::vector<std::uint64_t> bits;
+  for (const double rate : rates)
+    bits.push_back(std::bit_cast<std::uint64_t>(rate));
+  return bits;
+}
+
+/// Runs @p c and pins its output. run_scenario resets the process-wide
+/// metrics registry up front, so afterwards its `sim.events` counter holds
+/// the events this run dispatched.
+RunnerPin run_pinned(const experiments::ScenarioConfig& c) {
+  const experiments::ScenarioResult r = experiments::run_scenario(c);
+  const std::uint64_t events =
+      util::global_metrics().counter("sim.events").value();
+  RunnerPin pin{.events = events,
+                .admitted = r.total_admitted,
                 .rejected_or_queued = r.total_rejected_or_queued,
                 .messages = r.coordination_messages,
                 .served = {},
                 .offered = {},
+                .served_bits = {},
+                .offered_bits = {},
                 .trace_rows = r.window_trace.rows().size(),
                 .trace_names = {}};
   for (std::size_t p = 0; p < r.principal_names.size(); ++p) {
@@ -264,6 +287,10 @@ RunnerPin pin_of(const experiments::ScenarioResult& r) {
     pin.served.push_back(std::move(served));
     pin.offered.push_back(std::move(offered));
   }
+  for (const experiments::PhaseReport& phase : r.phase_reports) {
+    pin.served_bits.push_back(bits_of(phase.served_rate));
+    pin.offered_bits.push_back(bits_of(phase.offered_rate));
+  }
   for (const auto& row : r.window_trace.rows())
     if (std::find(pin.trace_names.begin(), pin.trace_names.end(),
                   row.redirector) == pin.trace_names.end())
@@ -272,11 +299,14 @@ RunnerPin pin_of(const experiments::ScenarioResult& r) {
 }
 
 void expect_pin(const RunnerPin& got, const RunnerPin& want) {
+  EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.admitted, want.admitted);
   EXPECT_EQ(got.rejected_or_queued, want.rejected_or_queued);
   EXPECT_EQ(got.messages, want.messages);
   EXPECT_EQ(got.served, want.served);
   EXPECT_EQ(got.offered, want.offered);
+  EXPECT_EQ(got.served_bits, want.served_bits);
+  EXPECT_EQ(got.offered_bits, want.offered_bits);
   EXPECT_EQ(got.trace_rows, want.trace_rows);
   EXPECT_EQ(got.trace_names, want.trace_names);
 }
@@ -307,14 +337,17 @@ TEST(Regression, ClassicL7TreeRunOutputIsPinned) {
                {"a1", "A", 1, 120.0, {{1.0, 5.0}}},
                {"b0", "B", 2, 220.0, {{0.5, 6.0}}}};
   c.capacity_events = {{2.5, 1, 120.0}};
-  expect_pin(pin_of(experiments::run_scenario(c)),
-             {.admitted = 2081,
+  expect_pin(run_pinned(c),
+             {.events = 31893,
+              .admitted = 2081,
               .rejected_or_queued = 6005,
               .messages = 357,
               .served = {{246, 211, 212, 194, 194, 194},
                          {39, 183, 162, 126, 126, 126}},
               .offered = {{262, 352, 278, 222, 194, 109},
                           {109, 219, 182, 128, 126, 126}},
+              .served_bits = {{0x406a100000000000, 0x405fc00000000000}},
+              .offered_bits = {{0x406d855555555555, 0x40628aaaaaaaaaab}},
               .trace_rows = 180,
               .trace_names = {"l7-0", "l7-1", "l7-2"}});
 }
@@ -326,14 +359,17 @@ TEST(Regression, ClassicL4RunOutputIsPinned) {
   c.clients = {{"a0", "A", 0, 300.0, {{0.0, 6.0}}},
                {"b0", "B", 1, 150.0, {{1.0, 4.5}}},
                {"b1", "B", 0, 150.0, {{2.0, 6.0}}}};
-  expect_pin(pin_of(experiments::run_scenario(c)),
-             {.admitted = 2311,
+  expect_pin(run_pinned(c),
+             {.events = 12686,
+              .admitted = 2311,
               .rejected_or_queued = 225,
               .messages = 240,
               .served = {{271, 252, 217, 181, 182, 197},
                          {0, 133, 180, 218, 218, 202}},
               .offered = {{286, 289, 292, 182, 182, 196},
                           {0, 154, 310, 308, 179, 158}},
+              .served_bits = {{0x406b155555555555, 0x4063d00000000000}},
+              .offered_bits = {{0x406dbaaaaaaaaaab, 0x40671aaaaaaaaaab}},
               .trace_rows = 120,
               .trace_names = {"l4-0", "l4-1"}});
 }
@@ -346,14 +382,17 @@ TEST(Regression, ClusteredRunOutputIsPinned) {
   c.tree_link_delay = 40 * kMillisecond;
   c.clients = {{"a0", "A", 0, 120.0, {{0.0, 6.0}}},
                {"b0", "B", 0, 90.0, {{1.5, 5.0}}}};
-  expect_pin(pin_of(experiments::run_scenario(c)),
-             {.admitted = 6131,
+  expect_pin(run_pinned(c),
+             {.events = 31099,
+              .admitted = 6131,
               .rejected_or_queued = 31,
               .messages = 360,
               .served = {{651, 749, 666, 629, 664, 814},
                          {0, 142, 513, 546, 529}},
               .offered = {{737, 737, 692, 729, 761, 721},
                           {0, 242, 527, 497, 520}},
+              .served_bits = {{0x4085bc0000000000, 0x40729aaaaaaaaaab}},
+              .offered_bits = {{0x4086cc0000000000, 0x40729aaaaaaaaaab}},
               .trace_rows = 180,
               .trace_names = {"l4-c0", "l4-c1", "l4-c2"}});
 }

@@ -201,8 +201,8 @@ TEST(Callback, InlineAndHeapCapturesBothInvoke) {
   small();
   EXPECT_EQ(hits, 1);
 
-  // Oversized capture (> 48 bytes) forces the heap path; behaviour must be
-  // identical.
+  // Oversized capture (> Callback::kInlineBytes) forces the heap path;
+  // behaviour must be identical.
   struct Big {
     double payload[16] = {};
   } big;

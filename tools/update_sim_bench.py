@@ -9,6 +9,10 @@ two sections side by side:
 
 Multiple FRESH_JSON files concatenate (micro_sim and micro_flow are separate
 binaries but share the section); the context is taken from the first file.
+google-benchmark's own context describes the benchmark library, not ours, so
+the section context also records our CMAKE_BUILD_TYPE, read from the build
+tree's CMakeCache.txt (--build-dir, default build-relwithdebinfo, the tree
+tools/ci.sh benchmarks), and the host's nproc.
 
 The update is coverage-gated: every benchmark name already recorded in the
 target section must appear in the fresh runs, so a renamed benchmark, an
@@ -16,9 +20,11 @@ over-narrow --benchmark_filter, or a crashed binary cannot silently drop a
 measurement from the checked-in history.
 
 Usage: tools/update_sim_bench.py FRESH_JSON... [--section current|baseline]
+                                  [--build-dir DIR]
 """
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -26,7 +32,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 BENCH = REPO / "BENCH_sim.json"
 
 KEEP_CONTEXT = ("date", "host_name", "num_cpus", "mhz_per_cpu",
-                "cpu_scaling_enabled", "library_build_type")
+                "cpu_scaling_enabled")
 KEEP_BENCH = ("name", "iterations", "real_time", "cpu_time", "time_unit",
               "items_per_second")
 
@@ -40,6 +46,20 @@ def condense(raw):
                        for b in raw["benchmarks"]
                        if b.get("run_type", "iteration") == "iteration"],
     }
+
+
+def cmake_build_type(build_dir):
+    """CMAKE_BUILD_TYPE from build_dir's CMakeCache.txt, or None without a
+    cache. An empty entry means the top-level CMakeLists.txt default,
+    RelWithDebInfo."""
+    cache = build_dir / "CMakeCache.txt"
+    if not cache.exists():
+        return None
+    with open(cache) as f:
+        for line in f:
+            if line.startswith("CMAKE_BUILD_TYPE:"):
+                return line.split("=", 1)[1].strip() or "RelWithDebInfo"
+    return "RelWithDebInfo"
 
 
 def check_coverage(fresh, reference, section):
@@ -62,7 +82,17 @@ def main():
     parser.add_argument("fresh", type=pathlib.Path, nargs="+")
     parser.add_argument("--section", default="current",
                         choices=("current", "baseline"))
+    parser.add_argument("--build-dir", type=pathlib.Path,
+                        default=REPO / "build-relwithdebinfo",
+                        help="build tree the fresh runs came from")
     args = parser.parse_args()
+
+    build_type = cmake_build_type(args.build_dir)
+    if build_type is None:
+        print(f"update_sim_bench: no CMakeCache.txt in {args.build_dir}; "
+              "pass the build tree the benches ran from with --build-dir",
+              file=sys.stderr)
+        return 1
 
     fresh = None
     for path in args.fresh:
@@ -72,6 +102,8 @@ def main():
             fresh = part
         else:
             fresh["benchmarks"] += part["benchmarks"]
+    fresh["context"]["cmake_build_type"] = build_type
+    fresh["context"]["nproc"] = len(os.sched_getaffinity(0))
 
     doc = {}
     if BENCH.exists():
