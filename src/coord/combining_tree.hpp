@@ -1,75 +1,61 @@
-// The combining-tree aggregation network (§3.2).
+// The combining-tree aggregation network (§3.2), the DES snapshot transport.
 //
 // Redirectors periodically contribute their local per-principal queue-length
 // vectors; reports travel leaf-to-root, are summed element-wise at each hop,
 // and the root's aggregate is broadcast back down — 2(n-1) messages per round
-// versus O(n^2) for pairwise exchange. Links have a configurable one-way
-// delay, so receivers observe aggregates that lag true state by up to
-// 2 * depth * delay; the Figure 8 experiment sets this lag to 10 seconds.
-// Rounds may overlap in flight when the lag exceeds the round period.
+// versus O(n^2) for pairwise exchange. Members are tree nodes 1..R under a
+// virtual root 0 that only combines: a flat star (every member one hop from
+// the root) or a balanced k-ary tree whose interior members both contribute
+// and combine. Links have a configurable one-way delay, so receivers observe
+// aggregates that lag true state by up to 2 * depth * delay; the Figure 8
+// experiment sets this lag to 10 seconds. Rounds may overlap in flight when
+// the lag exceeds the round period.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "coord/snapshot_transport.hpp"
-#include "coord/topology.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
 
 namespace sharegrid::coord {
 
-/// Combining-tree configuration.
-struct TreeConfig {
-  /// How often an aggregation round starts.
-  SimDuration period = 100 * kMillisecond;
-  /// One-way delay of every tree link (same up and down).
-  SimDuration link_delay = 0;
-  /// Length of the aggregated vector (one slot per principal).
-  std::size_t vector_size = 0;
-};
-
-/// Event-driven combining tree running on a Simulator.
-class CombiningTree {
+/// Event-driven combining tree running on a Simulator. Uniform link delays
+/// mean rounds complete in start order, so every receiver observes strictly
+/// increasing round numbers — the monotonicity the control-plane audit pins.
+class CombiningTree final : public SnapshotTransport {
  public:
-  /// Samples a participant's local contribution at round start.
-  using Provider = std::function<std::vector<double>()>;
-  /// Delivers the completed global aggregate to a participant, tagged with
-  /// the originating round. Uniform link delays mean rounds complete in
-  /// start order, so receivers observe strictly increasing round numbers
-  /// (with gaps where rounds were abandoned) — the monotonicity the
-  /// control-plane audit pins.
-  using Receiver =
-      std::function<void(std::uint64_t round, const std::vector<double>&)>;
+  struct Options {
+    /// How often an aggregation round starts.
+    SimDuration period = 100 * kMillisecond;
+    /// One-way delay of every tree link (same up and down).
+    SimDuration link_delay = 0;
+    /// 0 = flat star under the virtual root; k >= 2 = balanced k-ary tree
+    /// (node i's parent is (i-1)/k).
+    std::size_t fanout = 0;
+    /// When the first aggregation round fires.
+    SimTime first_round = 0;
+  };
 
-  CombiningTree(sim::Simulator* sim, TreeTopology topology, TreeConfig config);
+  CombiningTree(sim::Simulator* sim, std::size_t member_count,
+                std::size_t vector_size, Options options);
 
-  /// Attaches a participant to tree node @p node. Nodes without a provider
-  /// contribute zeros (pure interior nodes); nodes without a receiver simply
-  /// forward. Call before start().
-  void attach(std::size_t node, Provider provider, Receiver receiver);
+  /// Attaches member @p member (tree node member + 1). Members without a
+  /// provider contribute zeros; members without a receiver simply forward.
+  /// Call before start().
+  void attach(std::size_t member, Provider provider,
+              Receiver receiver) override;
 
-  /// Starts periodic aggregation rounds at @p first_round.
-  void start(SimTime first_round);
+  /// Starts periodic aggregation rounds at Options::first_round.
+  void start() override;
 
   /// Stops future rounds (in-flight messages still drain).
-  void stop();
+  void stop() override;
 
-  /// Failure injection: while any node is marked failed, no *new* round can
-  /// complete (the root transitively waits on every node), so rounds are
-  /// abandoned at start and downstream receivers keep acting on their last
-  /// snapshot — the same graceful-staleness path as network delay (§3.2).
-  /// Rounds already in flight when the failure is injected still complete;
-  /// recovery rejoins from the next round on.
-  void set_node_failed(std::size_t node, bool failed);
-  bool node_failed(std::size_t node) const;
-
-  std::uint64_t messages_sent() const { return messages_sent_; }
+  std::uint64_t messages_sent() const override { return messages_sent_; }
   std::uint64_t rounds_completed() const { return rounds_completed_; }
-  /// Rounds that began but can no longer complete due to failed nodes.
-  std::uint64_t rounds_abandoned() const { return rounds_abandoned_; }
 
  private:
   struct NodeState {
@@ -98,6 +84,11 @@ class CombiningTree {
     std::vector<RoundSlot> slots;  // indexed by node
   };
 
+  /// Node @p node's children are the index range [first_child, end_child);
+  /// every node but the root has parent (node - 1) / arity_.
+  std::size_t first_child(std::size_t node) const;
+  std::size_t end_child(std::size_t node) const;
+
   void begin_round(std::uint64_t round);
   void deliver_report(std::uint64_t round, std::size_t node,
                       const std::vector<double>& value);
@@ -106,18 +97,17 @@ class CombiningTree {
                       const std::vector<double>& aggregate);
 
   sim::Simulator* sim_;
-  TreeTopology topology_;
-  std::vector<std::vector<std::size_t>> children_;
-  TreeConfig config_;
-  std::vector<NodeState> nodes_;
+  std::size_t vector_size_;
+  Options options_;
+  /// Children per interior node: the fanout, or every member for the star.
+  std::size_t arity_;
+  std::vector<NodeState> nodes_;  // indexed by node; node 0 is the root
   // Ring of in-flight rounds; see RoundFrame.
   std::vector<RoundFrame> rounds_;
   std::unique_ptr<sim::PeriodicTask> task_;
-  std::vector<bool> failed_;
   std::uint64_t next_round_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t rounds_completed_ = 0;
-  std::uint64_t rounds_abandoned_ = 0;
 };
 
 /// Pairwise full exchange: the O(n^2)-message alternative the paper compares
@@ -125,10 +115,11 @@ class CombiningTree {
 class PairwiseExchange {
  public:
   PairwiseExchange(sim::Simulator* sim, std::size_t node_count,
-                   TreeConfig config);
+                   std::size_t vector_size, SimDuration period,
+                   SimDuration link_delay);
 
-  void attach(std::size_t node, CombiningTree::Provider provider,
-              CombiningTree::Receiver receiver);
+  void attach(std::size_t node, SnapshotTransport::Provider provider,
+              SnapshotTransport::Receiver receiver);
   void start(SimTime first_round);
   void stop();
 
@@ -138,49 +129,14 @@ class PairwiseExchange {
   void begin_round();
 
   sim::Simulator* sim_;
-  TreeConfig config_;
-  std::vector<CombiningTree::Provider> providers_;
-  std::vector<CombiningTree::Receiver> receivers_;
+  std::size_t vector_size_;
+  SimDuration period_;
+  SimDuration link_delay_;
+  std::vector<SnapshotTransport::Provider> providers_;
+  std::vector<SnapshotTransport::Receiver> receivers_;
   std::unique_ptr<sim::PeriodicTask> task_;
   std::uint64_t next_round_ = 0;
   std::uint64_t messages_sent_ = 0;
-};
-
-/// DES transport: wraps CombiningTree with members attached as tree nodes
-/// 1..R under a virtual root, so every member sees the same aggregate lag of
-/// 2 * link_delay (star) or 2 * depth * link_delay (balanced).
-class SimTreeTransport final : public SnapshotTransport {
- public:
-  struct Options {
-    /// How often an aggregation round starts (0 = use first_round's period
-    /// caller default; must be set > 0).
-    SimDuration period = 100 * kMillisecond;
-    SimDuration link_delay = 0;
-    /// 0 = flat star under the virtual root; k >= 2 = balanced k-ary tree.
-    std::size_t fanout = 0;
-    /// When the first aggregation round fires.
-    SimTime first_round = 0;
-  };
-
-  SimTreeTransport(sim::Simulator* sim, std::size_t member_count,
-                   std::size_t vector_size, Options options);
-
-  void attach(std::size_t member, Provider provider,
-              Receiver receiver) override;
-  void start() override;
-  void stop() override;
-  std::uint64_t messages_sent() const override {
-    return tree_.messages_sent();
-  }
-
-  /// The underlying tree, for failure injection and round statistics.
-  CombiningTree& tree() { return tree_; }
-  const CombiningTree& tree() const { return tree_; }
-
- private:
-  std::size_t member_count_;
-  Options options_;
-  CombiningTree tree_;
 };
 
 }  // namespace sharegrid::coord

@@ -30,9 +30,6 @@ ControlPlane::ControlPlane(const sched::Scheduler* scheduler,
   SHAREGRID_EXPECTS(scheduler != nullptr);
   SHAREGRID_EXPECTS(config_.window > 0);
   SHAREGRID_EXPECTS(config_.redirector_count >= 1);
-  SHAREGRID_EXPECTS(std::isfinite(config_.estimator_alpha));
-  SHAREGRID_EXPECTS(config_.estimator_alpha > 0.0 &&
-                    config_.estimator_alpha <= 1.0);
   SHAREGRID_EXPECTS(std::isfinite(config_.spike_replan_limit));
   SHAREGRID_EXPECTS(config_.spike_replan_limit >= 0.0);
 }
@@ -106,8 +103,7 @@ ControlPlane::Member::Member(ControlPlane* plane, std::size_t index)
       window_(plane->scheduler_, plane->config_.window,
               plane->config_.redirector_count, plane->config_.stale_policy) {
   const std::size_t n = plane->scheduler_->size();
-  estimators_.assign(
-      n, sched::ArrivalEstimator(plane->config_.estimator_alpha));
+  estimators_.assign(n, sched::ArrivalEstimator());
   arrivals_.assign(n, 0.0);
 }
 

@@ -41,8 +41,6 @@ struct ControlPlaneConfig {
   /// R, the redirector fleet size — the conservative no-snapshot slice is
   /// 1/R (paper §5.1, Figure 8 phase 1). Members may be added up to R.
   std::size_t redirector_count = 1;
-  /// EWMA weight of the newest window for the demand estimators, in (0, 1].
-  double estimator_alpha = 0.3;
   /// Behaviour before the first snapshot arrives.
   sched::StalePolicy stale_policy = sched::StalePolicy::kConservative;
   /// Demand-spike fast-path budget in re-plans per window. Fractional rates

@@ -54,24 +54,26 @@ void ShardedStarTransport::sample(std::size_t cluster, std::uint64_t round) {
   const SimTime arrival =
       sharded_->domain(cluster).now() + options_.link_delay;
   sharded_->post(cluster, 0, arrival,
-                 [this, round, cluster, sample = std::move(local)] {
-                   root_receive(round, cluster, sample);
+                 [this, round, sample = std::move(local)] {
+                   root_receive(round, sample);
                  });
 }
 
 void ShardedStarTransport::root_receive(std::uint64_t round,
-                                        std::size_t cluster,
                                         const std::vector<double>& value) {
   // Domain-0 event: accumulate in arrival order (== cluster order, by the
   // barrier contract), broadcast once the last report is in.
   ++messages_sent_;
-  RootSlot& slot = root_rounds_[round];
-  if (slot.sum.empty()) slot.sum.assign(vector_size_, 0.0);
-  for (std::size_t i = 0; i < value.size(); ++i) slot.sum[i] += value[i];
-  if (++slot.reports < providers_.size()) return;
+  if (root_.reports == 0) {
+    root_.round = round;
+    root_.sum.assign(vector_size_, 0.0);
+  }
+  SHAREGRID_ASSERT(root_.round == round);
+  for (std::size_t i = 0; i < value.size(); ++i) root_.sum[i] += value[i];
+  if (++root_.reports < providers_.size()) return;
 
-  const std::vector<double> aggregate = std::move(slot.sum);
-  root_rounds_.erase(round);
+  root_.reports = 0;
+  const std::vector<double> aggregate = std::move(root_.sum);
   ++rounds_completed_;
   const SimTime delivery =
       sharded_->domain(0).now() + options_.link_delay;
@@ -85,7 +87,6 @@ void ShardedStarTransport::root_receive(std::uint64_t round,
       receivers_[c](round, aggregate);
     });
   }
-  (void)cluster;
 }
 
 }  // namespace sharegrid::coord

@@ -5,7 +5,7 @@
 // tree's snapshot exchange: each cluster's control-plane member contributes
 // its local demand vector, a virtual root (hosted in domain 0) sums the
 // contributions, and the aggregate is broadcast back — the flat star of
-// SimTreeTransport, with each link crossing a domain boundary through
+// CombiningTree, with each link crossing a domain boundary through
 // ShardedSimulator::post(). The link delay is therefore exactly the
 // conservative lookahead bound the engine steps by.
 //
@@ -16,11 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "coord/combining_tree.hpp"
+#include "coord/snapshot_transport.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
@@ -63,15 +62,16 @@ class ShardedStarTransport {
   std::uint64_t rounds_completed() const { return rounds_completed_; }
 
  private:
-  /// Root-side accumulation of one in-flight round (domain 0 only).
+  /// Root-side accumulation of the open round (domain 0 only).
   struct RootSlot {
+    std::uint64_t round = 0;
     std::vector<double> sum;
+    /// Reports in so far; 0 means no round is open.
     std::size_t reports = 0;
   };
 
   void sample(std::size_t cluster, std::uint64_t round);
-  void root_receive(std::uint64_t round, std::size_t cluster,
-                    const std::vector<double>& value);
+  void root_receive(std::uint64_t round, const std::vector<double>& value);
 
   sim::ShardedSimulator* sharded_;
   std::size_t vector_size_;
@@ -81,9 +81,10 @@ class ShardedStarTransport {
   /// Per-cluster next round number; advanced only by the cluster's own task.
   std::vector<std::uint64_t> next_round_;
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
-  /// In-flight rounds at the virtual root. Touched only from domain-0
-  /// events, so no synchronization; ordered map keeps drain order stable.
-  std::map<std::uint64_t, RootSlot> root_rounds_;
+  /// The round open at the virtual root. Every report of round k reaches
+  /// domain 0 at t_k + link_delay, before any report of round k+1, so at
+  /// most one round is ever open. Touched only from domain-0 events.
+  RootSlot root_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t rounds_completed_ = 0;
 };

@@ -6,7 +6,7 @@
 // increasing round number. SnapshotTransport abstracts that exchange so the
 // same coord::ControlPlane runs over
 //
-//  * SimTreeTransport  — the event-driven CombiningTree on a Simulator
+//  * CombiningTree     — the event-driven combining tree on a Simulator
 //    (combining_tree.hpp; the DES experiments model link delay and tree
 //    shape), and ShardedStarTransport across sharded simulation domains;
 //  * RoundProtocol     — the sans-IO round state machine

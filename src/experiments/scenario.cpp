@@ -418,14 +418,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   // the same aggregate lag of 2 * link_delay. Aggregation rounds interleave
   // halfway between scheduling windows so a zero-delay tree still feeds each
   // window the freshest possible snapshot.
-  coord::SimTreeTransport::Options tree_options;
+  coord::CombiningTree::Options tree_options;
   tree_options.period =
       config.tree_period > 0 ? config.tree_period : config.window;
   tree_options.link_delay = config.tree_link_delay;
   tree_options.fanout = config.tree_fanout;
   tree_options.first_round = config.window / 2;
-  coord::SimTreeTransport transport(&sim, config.redirector_count,
-                                    graph.size(), tree_options);
+  coord::CombiningTree transport(&sim, config.redirector_count, graph.size(),
+                                 tree_options);
   site.plane->connect(&transport);
   transport.start();
   start_site(site, config, graph, master, &reply_sizes);

@@ -6,12 +6,21 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/time.hpp"
 
 namespace sharegrid::experiments {
 namespace {
 
 [[noreturn]] void fail(const std::string& message) {
   throw ContractViolation("scenario: " + message);
+}
+
+/// Names setting @p key of @p section in an error: the bare key for a global
+/// setting, "section.key (line N)" otherwise.
+std::string where(const IniSection& section, const std::string& key) {
+  return section.name.empty() ? key
+                              : section.name + "." + key + " (line " +
+                                    std::to_string(section.line) + ")";
 }
 
 /// Reads the optional integer setting @p key of @p section. A negative,
@@ -21,19 +30,44 @@ std::optional<std::uint64_t> get_count(const IniSection& section,
                                        const std::string& key) {
   const auto value = section.get_double(key);
   if (!value) return std::nullopt;
-  if (!(*value >= 0.0 && *value < 0x1p64) || *value != std::floor(*value)) {
-    const std::string where =
-        section.name.empty() ? key
-                             : section.name + "." + key + " (line " +
-                                   std::to_string(section.line) + ")";
-    fail(where + " must be a non-negative integer, got '" +
+  if (!(*value >= 0.0 && *value < 0x1p64) || *value != std::floor(*value))
+    fail(where(section, key) + " must be a non-negative integer, got '" +
          *section.get_string(key) + "'");
-  }
   return static_cast<std::uint64_t>(*value);
 }
 
-/// Parses "0-125, 250-375" into second-ranges.
-std::vector<std::pair<double, double>> parse_ranges(const std::string& text) {
+/// Checks a time of @p value units of @p unit microseconds, written @p text
+/// in the scenario. seconds() and milliseconds() cast to SimTime, which is
+/// undefined for NaN and out-of-range values, so a time must be finite,
+/// non-negative and under 2^62 microseconds (about 4.6e12 s, which leaves
+/// room to add two of them).
+double checked_time(double value, SimDuration unit, const std::string& name,
+                    const std::string& text) {
+  if (!(value >= 0.0 && value * static_cast<double>(unit) < 0x1p62))
+    fail(name + " must be a finite time in [0, 4.6e12 s), got '" + text +
+         "'");
+  return value;
+}
+
+/// Reads the optional time setting @p key of @p section (see checked_time).
+std::optional<double> get_time(const IniSection& section,
+                               const std::string& key, SimDuration unit) {
+  const auto value = section.get_double(key);
+  if (!value) return std::nullopt;
+  return checked_time(*value, unit, where(section, key),
+                      *section.get_string(key));
+}
+
+/// Reads the required time setting @p key of @p section, in seconds.
+double require_seconds(const IniSection& section, const std::string& key) {
+  return checked_time(section.require_double(key), kSecond,
+                      where(section, key), *section.get_string(key));
+}
+
+/// Parses @p section's "active = 0-125, 250-375" into second-ranges.
+std::vector<std::pair<double, double>> parse_ranges(
+    const IniSection& section) {
+  const std::string text = section.require_string("active");
   std::vector<std::pair<double, double>> out;
   std::stringstream ss(text);
   std::string token;
@@ -49,6 +83,8 @@ std::vector<std::pair<double, double>> parse_ranges(const std::string& text) {
     } catch (const std::exception&) {
       fail("active range '" + token + "' has non-numeric bounds");
     }
+    checked_time(start, kSecond, where(section, "active"), token);
+    checked_time(end, kSecond, where(section, "active"), token);
     if (end <= start) fail("active range '" + token + "' is empty");
     out.emplace_back(start, end);
   }
@@ -85,14 +121,14 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   if (g.get_string("providers"))
     fail("providers: multi-provider income planning was removed; an income "
          "scenario names its one resource owner with 'provider'");
-  config.duration_sec = g.get_double("duration").value_or(100.0);
-  if (const auto window_ms = g.get_double("window_ms"))
+  config.duration_sec = get_time(g, "duration", kSecond).value_or(100.0);
+  if (const auto window_ms = get_time(g, "window_ms", kMillisecond))
     config.window = milliseconds(*window_ms);
   if (const auto redirectors = get_count(g, "redirectors")) {
     if (*redirectors < 1) fail("redirectors must be >= 1");
     config.redirector_count = *redirectors;
   }
-  if (const auto delay = g.get_double("tree_link_delay"))
+  if (const auto delay = get_time(g, "tree_link_delay", kSecond))
     config.tree_link_delay = seconds(*delay);
   // Cluster-partitioned mode: replicate the declared site `clusters` times,
   // one simulation domain each, run on `sim_shards` worker lanes;
@@ -142,7 +178,8 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
         fail("control_plane.tree_fanout must be 0 (star) or >= 2, got 1");
       config.tree_fanout = *fanout;
     }
-    if (const auto period_ms = cp.get_double("snapshot_period_ms")) {
+    if (const auto period_ms =
+            get_time(cp, "snapshot_period_ms", kMillisecond)) {
       if (!(*period_ms > 0.0))
         fail("control_plane.snapshot_period_ms must be > 0, got " +
              std::to_string(*period_ms));
@@ -270,7 +307,7 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
            ") dials redirector index " + std::to_string(spec.redirector) +
            " but redirectors = " + std::to_string(config.redirector_count));
     spec.rate = c->require_double("rate");
-    spec.active_sec = parse_ranges(c->require_string("active"));
+    spec.active_sec = parse_ranges(*c);
     config.clients.push_back(std::move(spec));
   }
   if (config.clients.empty()) fail("at least one [client] is required");
@@ -278,14 +315,14 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   // --- Phases ------------------------------------------------------------------
   for (const IniSection* p : doc.all("phase")) {
     config.phases.push_back({p->require_string("name"),
-                             p->require_double("start"),
-                             p->require_double("end")});
+                             require_seconds(*p, "start"),
+                             require_seconds(*p, "end")});
   }
 
   // --- Capacity events -----------------------------------------------------
   for (const IniSection* e : doc.all("capacity_event")) {
     CapacityEvent event;
-    event.time_sec = e->require_double("time");
+    event.time_sec = require_seconds(*e, "time");
     e->require_string("server");  // names the section when missing
     event.server = *get_count(*e, "server");
     event.capacity = e->require_double("capacity");

@@ -18,11 +18,6 @@ std::uint64_t QuotaCarry::take(double amount) {
   return static_cast<std::uint64_t>(whole);
 }
 
-ArrivalEstimator::ArrivalEstimator(double alpha) : alpha_(alpha) {
-  SHAREGRID_EXPECTS(std::isfinite(alpha));
-  SHAREGRID_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-}
-
 void ArrivalEstimator::observe(double arrivals, SimDuration window) {
   SHAREGRID_EXPECTS(arrivals >= 0.0);
   SHAREGRID_EXPECTS(window > 0);
@@ -32,7 +27,7 @@ void ArrivalEstimator::observe(double arrivals, SimDuration window) {
     primed_ = true;
     return;
   }
-  rate_ = alpha_ * instantaneous + (1.0 - alpha_) * rate_;
+  rate_ = kAlpha * instantaneous + (1.0 - kAlpha) * rate_;
 }
 
 WindowScheduler::WindowScheduler(const Scheduler* scheduler, SimDuration window,

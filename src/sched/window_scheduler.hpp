@@ -50,10 +50,8 @@ class QuotaCarry {
 /// credit-based L7 mode where queues are implicit (§4.1, DESIGN.md D3).
 class ArrivalEstimator {
  public:
-  /// @param alpha  EWMA weight of the newest window. Must be finite and in
-  ///               (0, 1]: NaN or out-of-range weights would silently poison
-  ///               every downstream demand estimate, so construction throws.
-  explicit ArrivalEstimator(double alpha = 0.3);
+  /// EWMA weight of the newest window.
+  static constexpr double kAlpha = 0.3;
 
   /// Records the arrivals observed in one window of length @p window.
   void observe(double arrivals, SimDuration window);
@@ -62,7 +60,6 @@ class ArrivalEstimator {
   double rate() const { return rate_; }
 
  private:
-  double alpha_;
   double rate_ = 0.0;
   bool primed_ = false;
 };

@@ -303,6 +303,16 @@ TEST(AnalyzeRules, SingleThreadedFiresOnThreadIncludesInSched) {
                   .empty());
 }
 
+TEST(AnalyzeRules, SingleThreadedFiresOnThreadIncludesInCore) {
+  // The flow analysis walks paths serially: a thread in src/core is a
+  // violation.
+  const auto v = violations_of(
+      {header("core/flow.cpp", "#include <thread>\n#include <vector>")},
+      "single-threaded");
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].message.find("<thread>"), std::string::npos);
+}
+
 TEST(AnalyzeRules, NoWallClockSkipsMemberTimeCalls) {
   // `event.time()` and `e->time()` are accessors, not the C library clock.
   EXPECT_TRUE(violations_of({header("sim/a.hpp",

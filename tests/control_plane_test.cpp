@@ -105,11 +105,11 @@ TEST(ControlPlane, SimAndWallClockDriversRunTheSamePath) {
     bind_recorder(sim_members[m], &sim_records[m]);
   coord::SimWindowDriver sim_driver(&sim, &sim_plane);
   sim_driver.start(kWindow);
-  coord::SimTreeTransport::Options tree_options;
+  coord::CombiningTree::Options tree_options;
   tree_options.period = kWindow;
   tree_options.link_delay = 0;
   tree_options.first_round = kWindow;
-  coord::SimTreeTransport sim_transport(&sim, 2, 2, tree_options);
+  coord::CombiningTree sim_transport(&sim, 2, 2, tree_options);
   sim_plane.connect(&sim_transport);
   sim_transport.start();
 
@@ -281,23 +281,9 @@ TEST(ControlPlane, ZeroReplanLimitDisablesTheFastPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Input validation: bad estimator weights and control-plane configs must be
-// rejected at construction, not silently poison demand estimates.
+// Input validation: bad control-plane configs must be rejected at
+// construction, not silently poison demand estimates.
 // ---------------------------------------------------------------------------
-
-TEST(ControlPlane, ArrivalEstimatorRejectsBadAlpha) {
-  EXPECT_THROW(sched::ArrivalEstimator(0.0), ContractViolation);
-  EXPECT_THROW(sched::ArrivalEstimator(-0.1), ContractViolation);
-  EXPECT_THROW(sched::ArrivalEstimator(1.5), ContractViolation);
-  EXPECT_THROW(
-      sched::ArrivalEstimator(std::numeric_limits<double>::quiet_NaN()),
-      ContractViolation);
-  EXPECT_THROW(
-      sched::ArrivalEstimator(std::numeric_limits<double>::infinity()),
-      ContractViolation);
-  EXPECT_NO_THROW(sched::ArrivalEstimator(1.0));
-  EXPECT_NO_THROW(sched::ArrivalEstimator(0.3));
-}
 
 TEST(ControlPlane, ConfigValidationRejectsPoisonValues) {
   const test::FixedRateScheduler scheduler({100.0});
@@ -309,12 +295,6 @@ TEST(ControlPlane, ConfigValidationRejectsPoisonValues) {
   reject(config);
   config = {};
   config.redirector_count = 0;
-  reject(config);
-  config = {};
-  config.estimator_alpha = std::numeric_limits<double>::quiet_NaN();
-  reject(config);
-  config = {};
-  config.estimator_alpha = 1.5;
   reject(config);
   config = {};
   config.spike_replan_limit = -1.0;

@@ -245,23 +245,52 @@ TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
 TEST(ScenarioIni, RejectsCountsThatAreNotNonNegativeIntegers) {
   using namespace experiments;
   const std::string base = kMinimalScenario;
+  // Replaces the one occurrence of @p from in the base scenario.
+  const auto edited = [&base](const std::string& from, const std::string& to) {
+    std::string text = base;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  const std::string count = "must be a non-negative integer";
+  // Times reach seconds() / milliseconds(), whose int64 cast is undefined
+  // for NaN and out-of-range values.
+  const std::string time = "must be a finite time";
   // Global keys go first: the global section ends at the first header.
   const struct {
     const char* key;
     std::string text;
+    std::string message;
   } rows[] = {
-      {"redirectors", "redirectors = -1\n" + base},
-      {"redirectors", "redirectors = 2.7\n" + base},
-      {"max_outstanding", "max_outstanding = -1\n" + base},
-      {"seed", "seed = 1e30\n" + base},
-      {"clusters", "clusters = 0.5\n" + base},
-      {"sim_shards", "sim_shards = nan\n" + base},
-      {"client_scale", "client_scale = inf\n" + base},
+      {"redirectors", "redirectors = -1\n" + base, count},
+      {"redirectors", "redirectors = 2.7\n" + base, count},
+      {"max_outstanding", "max_outstanding = -1\n" + base, count},
+      {"seed", "seed = 1e30\n" + base, count},
+      {"clusters", "clusters = 0.5\n" + base, count},
+      {"sim_shards", "sim_shards = nan\n" + base, count},
+      {"client_scale", "client_scale = inf\n" + base, count},
+      {"duration", edited("duration = 30", "duration = inf"), time},
+      {"duration", edited("duration = 30", "duration = -5"), time},
+      {"window_ms", "window_ms = nan\n" + base, time},
+      {"tree_link_delay", "tree_link_delay = inf\n" + base, time},
+      {"tree_link_delay", "tree_link_delay = 1e13\n" + base, time},
+      {"control_plane.snapshot_period_ms (line",
+       base + "[control_plane]\nsnapshot_period_ms = inf\n", time},
+      {"client.active (line",
+       edited("active = 0-10, 20-30", "active = 0-inf"), time},
+      {"client.active (line",
+       edited("active = 0-10, 20-30", "active = nan-5"), time},
+      {"phase.start (line", edited("start = 1", "start = -1"), time},
+      {"phase.end (line", edited("end = 9", "end = inf"), time},
+      {"capacity_event.time (line",
+       base + "[capacity_event]\ntime = nan\nserver = 0\ncapacity = 10\n",
+       time},
       {"client.redirector",
        base + "[client]\nname = X\nprincipal = A\nredirector = -1\n"
-              "rate = 1\nactive = 0-1\n"},
+              "rate = 1\nactive = 0-1\n",
+       count},
       {"capacity_event.server",
-       base + "[capacity_event]\ntime = 1\nserver = -1\ncapacity = 10\n"},
+       base + "[capacity_event]\ntime = 1\nserver = -1\ncapacity = 10\n",
+       count},
   };
   for (const auto& row : rows) {
     try {
@@ -271,8 +300,7 @@ TEST(ScenarioIni, RejectsCountsThatAreNotNonNegativeIntegers) {
       const std::string what = e.what();
       EXPECT_EQ(what.rfind("scenario: ", 0), 0u) << what;
       EXPECT_NE(what.find(row.key), std::string::npos) << what;
-      EXPECT_NE(what.find("must be a non-negative integer"), std::string::npos)
-          << what;
+      EXPECT_NE(what.find(row.message), std::string::npos) << what;
     }
   }
   // An index past the declared redirectors is a loader error too, not a

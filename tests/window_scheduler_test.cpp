@@ -52,19 +52,19 @@ TEST(QuotaCarry, LongRunRateIsExact) {
 }
 
 TEST(ArrivalEstimator, FirstObservationPrimes) {
-  ArrivalEstimator est(0.3);
+  ArrivalEstimator est;
   est.observe(20.0, 100 * kMillisecond);
   EXPECT_NEAR(est.rate(), 200.0, 1e-9);
 }
 
 TEST(ArrivalEstimator, ConvergesToSteadyRate) {
-  ArrivalEstimator est(0.3);
+  ArrivalEstimator est;
   for (int i = 0; i < 100; ++i) est.observe(15.0, 100 * kMillisecond);
   EXPECT_NEAR(est.rate(), 150.0, 1e-6);
 }
 
 TEST(ArrivalEstimator, TracksRateChanges) {
-  ArrivalEstimator est(0.5);
+  ArrivalEstimator est;
   for (int i = 0; i < 50; ++i) est.observe(10.0, 100 * kMillisecond);
   for (int i = 0; i < 50; ++i) est.observe(40.0, 100 * kMillisecond);
   EXPECT_NEAR(est.rate(), 400.0, 1.0);

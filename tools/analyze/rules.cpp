@@ -316,21 +316,23 @@ void check_sans_io(const AnalyzedFile& file, std::vector<Violation>* out) {
       out);
 }
 
-/// single-threaded: the control plane and the plan solvers run entirely on
-/// their caller's thread — the session layer does its socket I/O inside
-/// poll(), and each scheduler has one caller at a time — so no src/coord or
-/// src/sched file may include the thread, lock or atomic headers.
+/// single-threaded: the control plane, the plan solvers and the flow
+/// analysis run entirely on their caller's thread — the session layer does
+/// its socket I/O inside poll(), each scheduler has one caller at a time,
+/// and the path walks are serial — so no src/coord, src/sched or src/core
+/// file may include the thread, lock or atomic headers.
 void check_single_threaded(const AnalyzedFile& file,
                            std::vector<Violation>* out) {
   if (file.canonical.rfind("coord/", 0) != 0 &&
-      file.canonical.rfind("sched/", 0) != 0)
+      file.canonical.rfind("sched/", 0) != 0 &&
+      file.canonical.rfind("core/", 0) != 0)
     return;
   check_banned_includes(
       file,
       {"<thread>", "<mutex>", "<atomic>", "\"util/thread_annotations.hpp\""},
       "single-threaded",
-      "; the control plane and the plan solvers run on their caller's "
-      "thread, so they need no thread, lock or atomic "
+      "; the control plane, the plan solvers and the flow analysis run on "
+      "their caller's thread, so they need no thread, lock or atomic "
       "(docs/static-analysis.md)",
       out);
 }
